@@ -4,10 +4,10 @@
 //! Two netlists, four engine tunings:
 //!
 //! * **TRT-scale** (the `chdl_engine` workload, shared via
-//!   [`atlantis_bench::trt`]): the raw micro-op stream
-//!   (`EngineConfig::unfused()`, PR 1's engine) versus the fused stream
-//!   under match dispatch — the fusion pass must buy ≥1.5x ns/cycle on
-//!   its own. The dispatch tiers are then compared head-to-head in
+//!   [`atlantis_bench::trt`]): the unfused micro-op stream
+//!   (`EngineConfig::unfused()`: fusion and parallel evaluation off, on
+//!   the same netopt'd netlist) versus the fused stream under match
+//!   dispatch — the fusion pass must buy ≥1.5x ns/cycle on its own. The dispatch tiers are then compared head-to-head in
 //!   **streaming** mode (`EngineConfig::streaming`, the spill-burst /
 //!   full-bank-scan regime where every eval sweeps the whole stream —
 //!   per-hit sparsity routes both tiers through identical queue

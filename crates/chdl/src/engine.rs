@@ -15,11 +15,15 @@
 //! common case in the TRT/DAQ pipelines — one port toggling per cycle —
 //! touches a handful of ops instead of the whole graph.
 //!
-//! Since PR 6 the lowered stream is additionally run through a **peephole +
-//! superop fusion pass** (`fuse` in [`EngineConfig`]): constant inputs fold
-//! into `op_imm` immediates, single-consumer producers are absorbed into
-//! their consumer as fused superops (`NAND`, `AND3`, `MUX_EQI`, `REPACK`,
-//! …) executed as one dispatch, and unconsumed dsts are elided. Large
+//! The netlist reaching the lowering has already been through the `nir`
+//! netopt pipeline, the crate's one folding point (constant folding,
+//! common-subexpression sharing and dead-gate elimination), which `Sim`
+//! always runs in compiled mode. The lowered stream is additionally
+//! run through a **peephole + superop fusion pass** (`fuse`
+//! in [`EngineConfig`]): constant operands rewrite into `op_imm`
+//! immediates, and single-consumer producers are absorbed into their
+//! consumer as fused superops (`NAND`, `AND3`, `MUX_EQI`, `REPACK`, …)
+//! executed as one dispatch. Large
 //! netlists can further opt into **adaptive level-partitioned evaluation**
 //! ([`ParallelEval`]): when a level's dirty population is dense the engine
 //! switches from per-op queue bookkeeping to straight-line sweeps of whole
@@ -59,7 +63,6 @@
 use crate::netlist::{node_width, BinOp, Node, UnOp, WritePortDecl};
 use crate::signal::mask;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Operand slot meaning "absent" (e.g. a register without an enable).
@@ -239,9 +242,8 @@ pub enum DispatchMode {
 ///
 /// The default (`fuse` on, [`ParallelEval::Auto`], [`DispatchMode::Auto`])
 /// is what `Sim::new` uses; `Sim::with_config` / `Fpga`-level integrators
-/// can override, and [`EngineConfig::set_global`] changes the process-wide
-/// default consulted by `Sim::new` (the `examples/serving.rs
-/// --partitioned` / `--dispatch` knobs).
+/// can override it per instance. Netlist optimization is not a knob: the
+/// `nir` netopt pipeline always runs before lowering in compiled mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the peephole + superop fusion pass over the lowered stream.
@@ -257,13 +259,6 @@ pub struct EngineConfig {
     /// straight-line sweep the dispatch tiers compile for. Sparse
     /// workloads regress badly under it — leave off unless profiled.
     pub streaming: bool,
-    /// Run the netlist-level optimization pipeline (`crate::nir`) before
-    /// lowering: constant folding, common-subexpression sharing and
-    /// dead-gate elimination on the node graph itself, so every
-    /// downstream tier (fusion, dispatch, lanes) sees a smaller stream.
-    /// On by default; `Sim` skips it in interpreter mode so the oracle
-    /// always walks the elaborated tree verbatim.
-    pub netopt: bool,
 }
 
 impl Default for EngineConfig {
@@ -273,23 +268,9 @@ impl Default for EngineConfig {
             parallel: ParallelEval::Auto,
             dispatch: DispatchMode::Auto,
             streaming: false,
-            netopt: true,
         }
     }
 }
-
-const PAR_OFF: u8 = 0;
-const PAR_AUTO: u8 = 1;
-const PAR_FORCE: u8 = 2;
-const DISP_MATCH: u8 = 0;
-const DISP_THREADED: u8 = 1;
-const DISP_AUTO: u8 = 2;
-static GLOBAL_FUSE: AtomicBool = AtomicBool::new(true);
-static GLOBAL_PAR: AtomicU8 = AtomicU8::new(PAR_AUTO);
-static GLOBAL_PARTS: AtomicUsize = AtomicUsize::new(2);
-static GLOBAL_DISPATCH: AtomicU8 = AtomicU8::new(DISP_AUTO);
-static GLOBAL_STREAMING: AtomicBool = AtomicBool::new(false);
-static GLOBAL_NETOPT: AtomicBool = AtomicBool::new(true);
 
 impl EngineConfig {
     /// Fusion on, parallel evaluation off, match dispatch — the serial
@@ -301,61 +282,18 @@ impl EngineConfig {
             parallel: ParallelEval::Off,
             dispatch: DispatchMode::Match,
             streaming: false,
-            netopt: true,
         }
     }
 
-    /// Fusion, parallel evaluation and netlist optimization all off, match
-    /// dispatch — the raw PR 1 lowering (benchmark baseline).
+    /// Fusion and parallel evaluation off, match dispatch: the plain
+    /// lowered stream of the netopt'd netlist, one op per surviving node
+    /// (the baseline that isolates what fusion buys).
     pub fn unfused() -> Self {
         EngineConfig {
             fuse: false,
             parallel: ParallelEval::Off,
             dispatch: DispatchMode::Match,
             streaming: false,
-            netopt: false,
-        }
-    }
-
-    /// Set the process-wide default consulted by `Sim::new` for sims
-    /// created afterwards. Existing sims are unaffected.
-    pub fn set_global(cfg: EngineConfig) {
-        GLOBAL_FUSE.store(cfg.fuse, Ordering::Relaxed);
-        let (mode, parts) = match cfg.parallel {
-            ParallelEval::Off => (PAR_OFF, 0),
-            ParallelEval::Auto => (PAR_AUTO, 0),
-            ParallelEval::Force(p) => (PAR_FORCE, p),
-        };
-        GLOBAL_PARTS.store(parts, Ordering::Relaxed);
-        GLOBAL_PAR.store(mode, Ordering::Relaxed);
-        let disp = match cfg.dispatch {
-            DispatchMode::Match => DISP_MATCH,
-            DispatchMode::Threaded => DISP_THREADED,
-            DispatchMode::Auto => DISP_AUTO,
-        };
-        GLOBAL_DISPATCH.store(disp, Ordering::Relaxed);
-        GLOBAL_STREAMING.store(cfg.streaming, Ordering::Relaxed);
-        GLOBAL_NETOPT.store(cfg.netopt, Ordering::Relaxed);
-    }
-
-    /// The current process-wide default (see [`EngineConfig::set_global`]).
-    pub fn global() -> EngineConfig {
-        let parallel = match GLOBAL_PAR.load(Ordering::Relaxed) {
-            PAR_OFF => ParallelEval::Off,
-            PAR_FORCE => ParallelEval::Force(GLOBAL_PARTS.load(Ordering::Relaxed).max(1)),
-            _ => ParallelEval::Auto,
-        };
-        let dispatch = match GLOBAL_DISPATCH.load(Ordering::Relaxed) {
-            DISP_MATCH => DispatchMode::Match,
-            DISP_THREADED => DispatchMode::Threaded,
-            _ => DispatchMode::Auto,
-        };
-        EngineConfig {
-            fuse: GLOBAL_FUSE.load(Ordering::Relaxed),
-            parallel,
-            dispatch,
-            streaming: GLOBAL_STREAMING.load(Ordering::Relaxed),
-            netopt: GLOBAL_NETOPT.load(Ordering::Relaxed),
         }
     }
 }
@@ -364,18 +302,14 @@ impl EngineConfig {
 /// exposed through `Sim::engine_stats` and tracked in the bench artifacts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Micro-ops lowered from the netlist before any transformation.
+    /// Micro-ops lowered from the netopt'd netlist, before fusion.
     pub ops_lowered: usize,
-    /// Micro-ops in the final stream after fusion / elision.
+    /// Micro-ops in the final stream after fusion.
     pub ops_final: usize,
-    /// Ops whose inputs were all compile-time constants, folded away.
-    pub consts_folded: usize,
     /// Ops rewritten in place to an immediate form (`x & imm`, `a + imm`…).
     pub imm_rewrites: usize,
     /// Producer ops absorbed into a consuming superop.
     pub ops_fused: usize,
-    /// Dead ops elided (no surviving consumer, not externally referenced).
-    pub ops_elided: usize,
     /// Logic levels in the final stream.
     pub levels: usize,
     /// Partitions per level used by partitioned evaluation (1 = serial).
@@ -402,8 +336,7 @@ pub struct EngineStats {
     /// Full final-stream opcode histogram (superops and plain ops alike),
     /// sorted by descending count.
     pub opcodes: Vec<(&'static str, usize)>,
-    /// Live netlist nodes before the pre-lowering netopt pipeline ran
-    /// (0 when netopt was off for this sim).
+    /// Live netlist nodes before the pre-lowering netopt pipeline ran.
     pub netopt_nodes_before: usize,
     /// Live netlist nodes handed to lowering after the netopt pipeline.
     pub netopt_nodes_after: usize,
@@ -414,7 +347,7 @@ pub struct EngineStats {
     pub netopt_subexprs_shared: usize,
     /// Gates the netopt liveness pass eliminated before lowering.
     pub netopt_dead_gates: usize,
-    /// Fixed-point iterations the netopt pass manager ran (0 = off).
+    /// Fixed-point iterations the netopt pass manager ran.
     pub netopt_iterations: usize,
 }
 
@@ -423,7 +356,8 @@ pub struct EngineStats {
 // These two helpers are the single source of truth for opcode semantics:
 // the compiled engine, the tree-walking interpreter in `sim.rs`, the
 // on-demand observability path for fused-away nodes, and the constant
-// folder in `opt.rs` all lower and execute through them.
+// folder in `nir.rs` (the one folding point, always run before lowering
+// in compiled mode) all lower and execute through them.
 
 /// One lowered micro-op, before it is appended to the stream.
 pub(crate) struct LoweredOp {
@@ -1008,12 +942,9 @@ pub(crate) struct CompiledEngine {
 
     // ---- observability ----
     /// Whether `vals[node]` is kept current by the engine (sources, state,
-    /// surviving op dsts, folded constants). Fused-away nodes are `false`
-    /// and evaluated on demand by `Sim::get_signal`.
+    /// surviving op dsts). Fused-away nodes are `false` and evaluated on
+    /// demand by `Sim::get_signal`.
     computed: Vec<bool>,
-    /// Compile-time constant comb nodes `(node, value)`; `Sim` seeds
-    /// `vals` from this once after construction.
-    folded: Vec<(u32, u64)>,
     stats: EngineStats,
 
     // ---- state-commit plan ----
@@ -1158,9 +1089,8 @@ impl CompiledEngine {
             ext_ref[wp.we as usize] = true;
         }
 
-        let mut folded: Vec<(u32, u64)> = Vec::new();
         if config.fuse {
-            fuse_stream(nodes, &mut w, &ext_ref, &mut folded, &mut stats);
+            fuse_stream(nodes, &mut w, &ext_ref, &mut stats);
         }
 
         // Freeze the surviving ops into the SoA stream.
@@ -1196,7 +1126,6 @@ impl CompiledEngine {
             threaded: ProgramCache::default(),
             threaded_lanes: ProgramCache::default(),
             computed: Vec::new(),
-            folded,
             stats,
             reg_dst: Vec::new(),
             reg_d: Vec::new(),
@@ -1257,9 +1186,6 @@ impl CompiledEngine {
             .collect();
         for &dst in &eng.op_dst {
             eng.computed[dst as usize] = true;
-        }
-        for &(node, _) in &eng.folded {
-            eng.computed[node as usize] = true;
         }
 
         // Consumer CSR: node → ops reading it (counting sort by operand).
@@ -2739,17 +2665,12 @@ impl CompiledEngine {
         &mut self.stats
     }
 
-    /// Whether `vals[node]` is kept current by the engine. Nodes fused or
-    /// elided out of the stream return `false` and must be evaluated on
-    /// demand from their (still-computed) cone.
+    /// Whether `vals[node]` is kept current by the engine. Nodes fused
+    /// out of the stream, or left out of the schedule by netopt, return
+    /// `false` and must be evaluated on demand from their (still-computed)
+    /// cone.
     pub(crate) fn is_computed(&self, node: u32) -> bool {
         self.computed[node as usize]
-    }
-
-    /// Compile-time constant comb nodes `(node, value)`; the owner seeds
-    /// its value storage from this once after construction.
-    pub(crate) fn folded_consts(&self) -> &[(u32, u64)] {
-        &self.folded
     }
 
     /// Test hook: every operand of every op must come from a strictly
@@ -3315,39 +3236,6 @@ impl CompiledEngine {
 
 // ---- peephole + superop fusion -------------------------------------------
 
-/// Kill op `i` and release its operand references (for a collapsed
-/// `OP_SELECT`, one reference per table leaf plus the selector).
-fn kill_op(w: &mut WorkOps, i: usize, cnt: &mut [u32]) {
-    w.killed[i] = true;
-    if w.code[i] == OP_SELECT {
-        cnt[w.a[i] as usize] -= 1;
-        let start = w.c[i] as usize;
-        for k in start..start + w.imm[i] as usize + 1 {
-            cnt[w.tab[k] as usize] -= 1;
-        }
-        return;
-    }
-    visit_code_operands(w.code[i], w.a[i], w.b[i], w.c[i], |dep| {
-        cnt[dep as usize] -= 1;
-    });
-}
-
-/// Fold op `i` to the compile-time constant `v`.
-fn fold_to_const(
-    w: &mut WorkOps,
-    i: usize,
-    v: u64,
-    cnt: &mut [u32],
-    konst: &mut [Option<u64>],
-    folded: &mut Vec<(u32, u64)>,
-    stats: &mut EngineStats,
-) {
-    kill_op(w, i, cnt);
-    konst[w.dst[i] as usize] = Some(v);
-    folded.push((w.dst[i], v));
-    stats.consts_folded += 1;
-}
-
 /// Deepest selector bit a collapsed select tree may test: bit 7 bounds the
 /// leaf table at 256 entries, past which the gather's cache footprint beats
 /// the dispatches it saves.
@@ -3401,14 +3289,15 @@ fn fusable(w: &WorkOps, dst_op: &[u32], cnt: &[u32], ext_ref: &[bool], node: u32
     Some(p)
 }
 
-/// The peephole + fusion pipeline over the lowered stream, in three
-/// passes (all in emit order, which is level order, so operand facts are
-/// final before any consumer inspects them):
+/// The peephole + fusion pipeline over the lowered stream (passes A and
+/// B run in emit order, which is level order, so operand facts are final
+/// before any consumer inspects them). Folding whole ops to constants and
+/// removing dead ones is netopt's job (`crate::nir`), done before
+/// lowering; this pipeline only rewrites and merges surviving ops:
 ///
-/// **A. constant peephole** — ops whose inputs are all compile-time
-/// constants fold away entirely (recorded in `folded` so `Sim` can seed
-/// their values); a constant on one side of a binop rewrites in place to
-/// an immediate form (`AND_IMM`, `ADD_IMM`, `EQ_IMM`, `SHL_IMM`, …).
+/// **A. immediate peephole** — a constant on one side of a binop rewrites
+/// in place to an immediate form (`AND_IMM`, `ADD_IMM`, `EQ_IMM`,
+/// `SHL_IMM`, …); a constant-select mux becomes a wire to its taken arm.
 ///
 /// **B. superop fusion** — a producer with exactly one consumer and no
 /// external reference is absorbed into that consumer as a fused superop:
@@ -3419,15 +3308,9 @@ fn fusable(w: &WorkOps, dst_op: &[u32], cnt: &[u32], ext_ref: &[bool], node: u32
 /// strictly shallower levels, so fusion never reaches across a level
 /// boundary (asserted by `check_level_invariant`).
 ///
-/// **C. dead elision** — a reverse sweep removes ops whose destination
-/// has no remaining consumer and no external reference (cascading).
-fn fuse_stream(
-    nodes: &[Node],
-    w: &mut WorkOps,
-    ext_ref: &[bool],
-    folded: &mut Vec<(u32, u64)>,
-    stats: &mut EngineStats,
-) {
+/// **B2. select-tree collapse** — complete `MUX_BIT` trees become one
+/// `SELECT` table lookup.
+fn fuse_stream(nodes: &[Node], w: &mut WorkOps, ext_ref: &[bool], stats: &mut EngineStats) {
     let n = nodes.len();
     let mut konst: Vec<Option<u64>> = vec![None; n];
     for (idx, node) in nodes.iter().enumerate() {
@@ -3442,26 +3325,9 @@ fn fuse_stream(
         dst_op[w.dst[i] as usize] = i as u32;
     }
 
-    // ---- pass A: constant folding & immediate rewrites ----
+    // ---- pass A: immediate rewrites ----
     for i in 0..w.code.len() {
         let code = w.code[i];
-        if code != OP_READ_ASYNC {
-            let mut all_const = true;
-            w.visit_operands(i, |dep| all_const &= konst[dep as usize].is_some());
-            if all_const {
-                let v = exec_scalar(
-                    code,
-                    w.a[i],
-                    w.b[i],
-                    w.c[i],
-                    w.imm[i],
-                    &mut |nd| konst[nd as usize].unwrap(),
-                    &mut |_, _| unreachable!("const fold never reads memory"),
-                );
-                fold_to_const(w, i, v, &mut cnt, &mut konst, folded, stats);
-                continue;
-            }
-        }
         let (ka, kb) = (
             konst[w.a[i] as usize],
             if w.b[i] == NONE {
@@ -3477,10 +3343,6 @@ fn fuse_stream(
                     (None, Some(k)) => (w.a[i], k),
                     _ => continue,
                 };
-                if code == OP_AND && k == 0 {
-                    fold_to_const(w, i, 0, &mut cnt, &mut konst, folded, stats);
-                    continue;
-                }
                 let konst_side = if var == w.b[i] { w.a[i] } else { w.b[i] };
                 cnt[konst_side as usize] -= 1;
                 w.code[i] = match code {
@@ -3529,8 +3391,9 @@ fn fuse_stream(
             OP_SHL | OP_SHR => {
                 let Some(k) = kb else { continue };
                 let aw = w.c[i] as u64;
+                // A shift by ≥ the operand width is netopt's fold; the op
+                // keeps its range-checked form.
                 if k >= aw {
-                    fold_to_const(w, i, 0, &mut cnt, &mut konst, folded, stats);
                     continue;
                 }
                 cnt[w.b[i] as usize] -= 1;
@@ -3550,10 +3413,6 @@ fn fuse_stream(
                     (None, Some(k)) => (w.a[i], k),
                     _ => continue,
                 };
-                if k == 0 {
-                    fold_to_const(w, i, 0, &mut cnt, &mut konst, folded, stats);
-                    continue;
-                }
                 if !k.is_power_of_two() {
                     continue;
                 }
@@ -3904,18 +3763,6 @@ fn fuse_stream(
         w.b[i] = 0; // selector shift: gathered trees always bottom at bit 0
         w.c[i] = start;
         w.imm[i] = (leaves.len() - 1) as u64;
-    }
-
-    // ---- pass C: dead elision (reverse sweep, cascading) ----
-    for i in (0..w.code.len()).rev() {
-        if w.killed[i] {
-            continue;
-        }
-        let dst = w.dst[i] as usize;
-        if cnt[dst] == 0 && !ext_ref[dst] {
-            kill_op(w, i, &mut cnt);
-            stats.ops_elided += 1;
-        }
     }
 }
 

@@ -137,8 +137,9 @@ impl LaneGroup {
 
     /// Read any signal on one lane by handle after settling
     /// combinational logic. An unnamed intermediate the fusion pass
-    /// absorbed or elided is recomputed on demand from its materialized
-    /// ancestors, exactly like [`Sim::get_signal`](crate::Sim::get_signal).
+    /// absorbed, or netopt dropped from the schedule, is recomputed on
+    /// demand from its materialized ancestors, exactly like
+    /// [`Sim::get_signal`](crate::Sim::get_signal).
     pub fn get_signal(&mut self, lane: usize, sig: Signal) -> u64 {
         self.check_lane(lane);
         self.eval();

@@ -1,4 +1,5 @@
-//! `nir` — the mutable netlist optimization IR.
+//! `nir` — the mutable netlist optimization IR, and the crate's one
+//! netlist optimizer.
 //!
 //! [`Design`] is an append-only elaboration graph: nodes are
 //! pushed once and never edited, which keeps signal handles stable and
@@ -11,9 +12,10 @@
 //!
 //! * [`ConstFold`] — constant folding and propagation through gate cones,
 //!   plus local identity rewrites (`x + 0`, `x · 1`, `x & ones`,
-//!   constant-select muxes, full-width slices, `x ^ x`, …). Folded nodes
-//!   become [`Const`](NirKind::Const) definitions *with the value they
-//!   always had*, so probing them observes no difference.
+//!   constant-select muxes, full-width slices, `x ^ x`, shifts by at
+//!   least the operand width, …). Folded nodes become
+//!   [`Const`](NirKind::Const) definitions *with the value they always
+//!   had*, so probing them observes no difference.
 //! * [`ShareSubexprs`] — common-subexpression sharing keyed on hash-consed
 //!   structural identity; duplicate consumers are redirected onto the
 //!   first occurrence.
@@ -26,24 +28,29 @@
 //! terminates) and fills a [`NetoptLedger`] with per-pass records plus
 //! depth/fanout analysis from [`Nir::analyze`].
 //!
-//! Two pipelines are provided:
+//! This is the only place a netlist is folded or pruned. Two pipelines
+//! are provided:
 //!
 //! * [`PassManager::lowering`] — the conservative pipeline
-//!   [`Sim`](crate::Sim) runs before engine lowering when
-//!   [`EngineConfig::netopt`](crate::EngineConfig) is on. It keeps all
-//!   registers and synchronous read ports (state must keep latching even
-//!   when no output currently observes it — a poke or a late probe may),
-//!   so only pure combinational redundancy is removed.
-//! * [`PassManager::standard`] — the aggressive pipeline for standalone
-//!   use via [`Nir::to_design`]: state unreachable from any output, label,
-//!   write port or `dont_touch` node is dropped too.
+//!   [`Sim`](crate::Sim) always runs before engine lowering in compiled
+//!   mode (the interpreter oracle walks the elaborated tree verbatim). It
+//!   keeps all registers and synchronous read ports (state must keep
+//!   latching even when no output currently observes it — a poke or a
+//!   late probe may), and it leaves outputs and labels on their original
+//!   nodes, because the simulator resolves names against the source
+//!   design; only pure combinational redundancy is removed.
+//! * [`PassManager::standard`] — the aggressive pipeline behind
+//!   [`Design::optimized`] and standalone [`Nir::to_design`] use: state
+//!   unreachable from any output, label, write port or `dont_touch` node
+//!   is dropped too, and outputs and labels follow the rewrites onto the
+//!   node that carries their value.
 //!
 //! Nodes marked [`Design::set_dont_touch`] survive every pass verbatim:
 //! never folded, never redirected onto a twin, never declared dead.
 //!
 //! Every pass is guarded by the proptest equivalence harness in
 //! `tests/netopt_equiv.rs`: randomized netlists are co-simulated
-//! optimized-vs-unoptimized in lockstep, bit-exact including memories and
+//! optimized-vs-interpreter in lockstep, bit-exact including memories and
 //! registers, across engine configurations.
 
 use crate::engine::{exec_scalar, lower_op};
@@ -98,6 +105,10 @@ pub struct Nir {
     d: Design,
     dont_touch: Vec<bool>,
     dead: Vec<bool>,
+    /// Outputs and labels stay on their original nodes (the pre-lowering
+    /// view: `Sim` resolves names against the source design). When clear,
+    /// they follow aliases like any other consumer edge.
+    pin_interface: bool,
 }
 
 /// Decomposed result of the pre-lowering pipeline, consumed by `Sim`.
@@ -115,6 +126,7 @@ pub(crate) struct LoweredNetopt {
 /// nodes flagged, not compacted) so every signal handle stays valid.
 pub(crate) fn optimize_for_lowering(design: &Design) -> LoweredNetopt {
     let mut nir = Nir::from_design(design);
+    nir.pin_interface = true;
     let ledger = PassManager::lowering().run(&mut nir);
     LoweredNetopt {
         nodes: nir.d.nodes,
@@ -137,6 +149,7 @@ impl Nir {
             d: design.clone(),
             dont_touch,
             dead: vec![false; n],
+            pin_interface: false,
         }
     }
 
@@ -448,6 +461,20 @@ impl Nir {
     }
 }
 
+impl Design {
+    /// Produce an optimized copy of this design: the
+    /// [`PassManager::standard`] pipeline run to its fixed point, then
+    /// compacted with [`Nir::to_design`]. Inputs, outputs, labels (which
+    /// keep their probe values), registers and memories reachable from
+    /// them, and `dont_touch` nodes are preserved; the ledger accounts
+    /// for every rewrite.
+    pub fn optimized(&self) -> (Design, NetoptLedger) {
+        let mut nir = Nir::from_design(self);
+        let ledger = PassManager::standard().run(&mut nir);
+        (nir.to_design(), ledger)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shared edge-rewriting helpers
 // ---------------------------------------------------------------------
@@ -553,9 +580,21 @@ fn rewrite_comb_refs(node: &mut Node, alias: &[u32]) -> usize {
 
 /// Materialize the alias table into register and write-port references
 /// (these may point forward, so they are rewritten only after a full
-/// sweep has populated the table). Returns edges changed.
+/// sweep has populated the table), and into outputs and labels unless the
+/// interface is pinned. Returns edges changed.
 fn rewrite_state_refs(nir: &mut Nir, alias: &[u32]) -> usize {
     let mut changed = 0;
+    if !nir.pin_interface {
+        let outputs = nir.d.outputs.iter_mut().map(|o| &mut o.src);
+        let labels = nir.d.names.values_mut().map(|sig| &mut sig.node);
+        for r in outputs.chain(labels) {
+            let t = resolve(alias, *r);
+            if t != *r {
+                *r = t;
+                changed += 1;
+            }
+        }
+    }
     for i in 0..nir.d.nodes.len() {
         if nir.dead[i] {
             continue;
@@ -696,6 +735,13 @@ impl Pass for ConstFold {
                                 ) =>
                             {
                                 Rewrite::Alias(*a)
+                            }
+                            // Shifting every bit out of the operand.
+                            (None, Some(k))
+                                if matches!(op, BinOp::Shl | BinOp::Shr)
+                                    && k >= u64::from(node_width(&nodes[*a as usize])) =>
+                            {
+                                Rewrite::Fold(0)
                             }
                             // Zero absorption.
                             (Some(0), None) | (None, Some(0))
@@ -965,7 +1011,8 @@ impl PassManager {
     /// The aggressive standalone pipeline: [`ConstFold`],
     /// [`ShareSubexprs`], then [`DeadGateElim`] with `keep_state: false`
     /// (state unreachable from every observable root is dropped). Use with
-    /// [`Nir::to_design`] for export or re-elaboration.
+    /// [`Nir::to_design`] for export or re-elaboration, as
+    /// [`Design::optimized`] does.
     pub fn standard() -> Self {
         Self::with_passes(vec![
             Box::new(ConstFold),
@@ -974,10 +1021,10 @@ impl PassManager {
         ])
     }
 
-    /// The conservative pre-lowering pipeline `Sim` runs when
-    /// [`EngineConfig::netopt`](crate::EngineConfig) is on: same passes but
-    /// `keep_state: true`, so registers and synchronous read ports always
-    /// survive and only pure combinational redundancy is removed.
+    /// The conservative pre-lowering pipeline `Sim` runs in compiled mode:
+    /// same passes but `keep_state: true`, so registers and synchronous
+    /// read ports always survive and only pure combinational redundancy is
+    /// removed.
     pub fn lowering() -> Self {
         Self::with_passes(vec![
             Box::new(ConstFold),

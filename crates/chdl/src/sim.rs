@@ -13,7 +13,8 @@
 //!
 //! Two execution engines implement those semantics:
 //!
-//! * [`ExecMode::Compiled`] (the default) lowers the netlist into the flat
+//! * [`ExecMode::Compiled`] (the default) runs the netlist through the
+//!   [`nir`](crate::nir) netopt pipeline, then lowers it into the flat
 //!   micro-op stream of the `engine` module, with incremental re-evaluation
 //!   and an allocation-free batch path ([`Sim::run_batch`]).
 //! * [`ExecMode::Interpreted`] walks the `Node` tree exactly as elaborated.
@@ -55,7 +56,7 @@ pub struct Sim {
     mems: Vec<Vec<u64>>,
     names: HashMap<String, Signal>,
     /// Nodes the design marked `dont_touch` (sorted): kept by the netopt
-    /// passes and protected from fusion elision, here and in lane forks.
+    /// passes and protected from fusion absorption, here and in lane forks.
     dont_touch: Vec<u32>,
     /// Interpreter-mode "combinational values stale" flag.
     dirty: bool,
@@ -90,9 +91,9 @@ impl Sim {
     }
 
     /// Elaborate and instantiate with an explicit execution engine, using
-    /// the process-wide default [`EngineConfig`].
+    /// the default [`EngineConfig`].
     pub fn try_with_mode(design: &Design, mode: ExecMode) -> Result<Self, ChdlError> {
-        Self::try_with_config(design, mode, EngineConfig::global())
+        Self::try_with_config(design, mode, EngineConfig::default())
     }
 
     /// Elaborate and instantiate with explicit engine tuning. Panics on
@@ -118,24 +119,25 @@ impl Sim {
             }
         }
 
-        // Pre-lowering netlist optimization (compiled mode only — the
-        // interpreter oracle always walks the elaborated tree verbatim).
-        // The rewritten graph keeps the source index space: folded nodes
-        // carry the value they always had and aliased-away duplicates keep
-        // their definitions, so signal handles, probes and `poke` targets
-        // all stay valid; dead nodes are only *excluded from the schedule*
-        // below (and recomputed on demand if probed).
-        let run_netopt = config.netopt && mode == ExecMode::Compiled;
-        let (nodes, write_ports, dead, netopt_ledger) = if run_netopt {
-            let opt = crate::nir::optimize_for_lowering(design);
-            (opt.nodes, opt.write_ports, opt.dead, Some(opt.ledger))
-        } else {
-            (
+        // Pre-lowering netlist optimization: netopt, the one folding
+        // point, always runs in compiled mode; the interpreter oracle walks
+        // the elaborated tree verbatim. The rewritten graph keeps the
+        // source index space: folded nodes carry the value they always had
+        // and aliased-away duplicates keep their definitions, so signal
+        // handles, probes and `poke` targets all stay valid; dead nodes are
+        // only *excluded from the schedule* below (and recomputed on demand
+        // if probed).
+        let (nodes, write_ports, dead, netopt_ledger) = match mode {
+            ExecMode::Compiled => {
+                let opt = crate::nir::optimize_for_lowering(design);
+                (opt.nodes, opt.write_ports, opt.dead, Some(opt.ledger))
+            }
+            ExecMode::Interpreted => (
                 design.nodes.clone(),
                 design.write_ports.clone(),
                 vec![false; design.nodes.len()],
                 None,
-            )
+            ),
         };
 
         let n = nodes.len();
@@ -205,7 +207,7 @@ impl Sim {
 
         // Externally referenced nodes: everything with a name (outputs are
         // always named too) plus `dont_touch` marks. The fusion pass must
-        // keep these observable — it may neither absorb nor elide them.
+        // keep these observable — it may not absorb them.
         let mut protected = vec![false; n];
         for sig in design.names.values() {
             protected[sig.node as usize] = true;
@@ -239,13 +241,6 @@ impl Sim {
             s.netopt_subexprs_shared = ledger.subexprs_shared;
             s.netopt_dead_gates = ledger.dead_gates;
             s.netopt_iterations = ledger.iterations;
-        }
-        // Ops the peephole folded away are pre-seeded like elaborated
-        // constants; their producing ops no longer exist in the stream.
-        if let Some(e) = &engine {
-            for &(node, v) in e.folded_consts() {
-                vals[node as usize] = v;
-            }
         }
         let state_scratch = vec![0u64; state_nodes.len()];
 
@@ -318,9 +313,9 @@ impl Sim {
     /// Read any signal by handle after settling combinational logic.
     ///
     /// Named signals are always materialized. An unnamed intermediate the
-    /// fusion pass absorbed or elided is recomputed on demand from its
-    /// nearest materialized ancestors — observability is preserved, the
-    /// hot loop just doesn't pay for it.
+    /// fusion pass absorbed, or netopt dropped from the schedule, is
+    /// recomputed on demand from its nearest materialized ancestors —
+    /// observability is preserved, the hot loop just doesn't pay for it.
     pub fn get_signal(&mut self, sig: Signal) -> u64 {
         self.eval();
         if let Some(e) = &self.engine {
@@ -334,8 +329,7 @@ impl Sim {
     /// Recompute a fused-away node from materialized values. Iterative
     /// post-order walk with a local memo, so arbitrarily deep elided
     /// chains cannot overflow the stack; the walk bottoms out wherever
-    /// `CompiledEngine::is_computed` holds (sources, state, live op dsts,
-    /// folded constants).
+    /// `CompiledEngine::is_computed` holds (sources, state, live op dsts).
     fn eval_elided(&self, root: u32) -> u64 {
         let engine = self.engine.as_ref().expect("compiled mode");
         let mut memo: HashMap<u32, u64> = HashMap::new();
@@ -644,11 +638,6 @@ impl Sim {
         let mut vals = vec![0u64; n * lanes];
         for (node, &v) in self.vals.iter().enumerate() {
             vals[node * lanes..(node + 1) * lanes].fill(v);
-        }
-        // Seed peephole-folded constants into every lane: in interpreter
-        // mode (or before a first eval) the source slots may be stale.
-        for &(node, v) in engine.folded_consts() {
-            vals[node as usize * lanes..(node as usize + 1) * lanes].fill(v);
         }
         let mem_words: Vec<usize> = self.mems.iter().map(Vec::len).collect();
         let mems: Vec<Vec<u64>> = self
@@ -1191,7 +1180,7 @@ mod tests {
 
     /// A design with plenty of fusable shapes: NAND/NOR chains, a 3-input
     /// AND tree, compare-and-select, slice+concat repacking, a complete
-    /// 8-way select tree, and constant subexpressions for the peephole.
+    /// 8-way select tree, and constant operands for the immediate peephole.
     fn fusion_playground() -> Design {
         let mut d = Design::new("fusion_playground");
         let a = d.input("a", 16);
@@ -1205,7 +1194,7 @@ mod tests {
         let tree = d.and(ab2, c);
         let k = d.lit(7, 16);
         let masked = d.and(a, k); // -> AND_IMM
-        let kk = d.add(k, k); // all-const -> folded
+        let kk = d.add(k, k); // all-const -> folded by netopt
         let sel = d.eq(b, k); // -> EQ_IMM, then MUX_EQI
         let picked = d.mux(sel, nand, nor);
         let hi = d.slice(a, 8, 8);
@@ -1236,23 +1225,35 @@ mod tests {
         d
     }
 
+    /// Compile the elaborated graph as-is, skipping netopt — fusion in
+    /// isolation. Netopt's CSE merges the duplicate bit slices
+    /// `Design::select` elaborates per subtree (and the playground's twin
+    /// ANDs), and a shared producer cannot be absorbed, so the NAND and
+    /// select-tree shapes only form on the unshared graph. The same stream
+    /// is what a lane group forked from an interpreter sim runs.
+    fn compile_elaborated(d: &Design) -> CompiledEngine {
+        let raw = Sim::with_mode(d, ExecMode::Interpreted);
+        let mut protected = vec![false; raw.nodes.len()];
+        for sig in raw.names.values() {
+            protected[sig.node as usize] = true;
+        }
+        CompiledEngine::compile(
+            &raw.nodes,
+            &raw.order,
+            &raw.state_nodes,
+            &raw.write_ports,
+            raw.mems.len(),
+            &protected,
+            EngineConfig::default(),
+        )
+    }
+
     #[test]
     fn fusion_fires_and_respects_level_boundaries() {
         let d = fusion_playground();
-        // Netopt off: this test exercises the engine-level peepholes and
-        // fusion patterns in isolation, which need the raw micro-op stream
-        // (netlist-level folding would starve the const peephole).
-        let sim = Sim::with_config(
-            &d,
-            ExecMode::Compiled,
-            EngineConfig {
-                netopt: false,
-                ..EngineConfig::default()
-            },
-        );
-        let stats = sim.engine_stats().unwrap().clone();
+        let engine = compile_elaborated(&d);
+        let stats = engine.stats().clone();
         assert!(stats.ops_fused > 0, "no superops formed: {stats:?}");
-        assert!(stats.consts_folded > 0, "const peephole idle: {stats:?}");
         assert!(stats.imm_rewrites > 0, "imm peephole idle: {stats:?}");
         assert!(
             stats.ops_final < stats.ops_lowered,
@@ -1272,7 +1273,8 @@ mod tests {
         }
         // Fusion must never reach across a level boundary: every operand
         // of every op is produced at a strictly shallower level.
-        sim.engine().unwrap().check_level_invariant();
+        engine.check_level_invariant();
+        Sim::new(&d).engine().unwrap().check_level_invariant();
     }
 
     #[test]
@@ -1308,6 +1310,9 @@ mod tests {
         let mut sims: Vec<Sim> = (configs.iter())
             .map(|&c| Sim::with_config(&d, ExecMode::Compiled, c))
             .collect();
+        // Forked from the interpreter, the lane group fuses the elaborated
+        // graph (see `compile_elaborated`): the NAND and SELECT superops.
+        let mut raw_lanes = oracle.fork_lanes(1);
         for cycle in 0..64u64 {
             let (a, b, c) = (
                 cycle * 7919 % 65536,
@@ -1324,10 +1329,19 @@ mod tests {
                 sim.set("c", c);
                 assert_eq!(sim.get("out"), want, "config {k} diverged at cycle {cycle}");
             }
+            raw_lanes.set(0, "a", a);
+            raw_lanes.set(0, "b", b);
+            raw_lanes.set(0, "c", c);
+            assert_eq!(
+                raw_lanes.get(0, "out"),
+                want,
+                "raw lanes diverged at cycle {cycle}"
+            );
             oracle.step();
             for sim in &mut sims {
                 sim.step();
             }
+            raw_lanes.step();
         }
     }
 

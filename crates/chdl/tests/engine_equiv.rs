@@ -2,8 +2,12 @@
 //!
 //! * the **compiled engine** (micro-op stream, the default),
 //! * the **tree-walking interpreter** (the reference oracle), and
-//! * the compiled engine running the **optimizer's output**
+//! * the compiled engine running the **standalone optimizer's output**
 //!   ([`Design::optimized`]).
+//!
+//! The compiled engine always runs the pre-lowering netopt pipeline, so
+//! the interpreter — which walks the elaborated tree verbatim — is the
+//! oracle every engine configuration is checked against.
 //!
 //! For generated netlists (shared generator in `netgen`) mixing arithmetic,
 //! logic, muxes, slices, concats, registers (with enables/clears), FSMs and
@@ -101,7 +105,7 @@ proptest! {
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
         let configs = [
             EngineConfig::default(),                 // fused, auto partitioning + dispatch
-            EngineConfig::unfused(),                 // raw stream, serial, match
+            EngineConfig::unfused(),                 // unfused stream, serial, match
             EngineConfig {
                 fuse: true,
                 parallel: ParallelEval::Force(4),
@@ -111,7 +115,7 @@ proptest! {
             EngineConfig {
                 fuse: false,
                 parallel: ParallelEval::Force(2),
-                dispatch: DispatchMode::Threaded,    // partitioned threaded, raw stream
+                dispatch: DispatchMode::Threaded,    // partitioned threaded, unfused
                 ..EngineConfig::default()
             },
             EngineConfig {
@@ -124,16 +128,6 @@ proptest! {
                 fuse: true,
                 parallel: ParallelEval::Off,
                 dispatch: DispatchMode::Match,       // serial match (the PR 6 engine)
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                netopt: false,                       // raw netlist, fused stream
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                netopt: false,                       // raw netlist, raw stream, threaded
-                fuse: false,
-                dispatch: DispatchMode::Threaded,
                 ..EngineConfig::default()
             },
             EngineConfig {

@@ -25,20 +25,19 @@ proptest! {
         let (design, outputs) = build_design(&recipes);
         let mem = design.find_memory("m").unwrap();
 
-        let mut scalars: Vec<Sim> = (0..lanes).map(|_| Sim::new(&design)).collect();
+        // One interpreter oracle per lane: the laned stream (netopt'd,
+        // fused) is checked against the elaborated tree, walked verbatim.
+        let mut scalars: Vec<Sim> = (0..lanes)
+            .map(|_| Sim::with_mode(&design, ExecMode::Interpreted))
+            .collect();
         // Force the group onto the threaded lane closures (these netlists
-        // can sit below the Auto threshold) while the scalars keep the
-        // default dispatch: the per-lane pokes below then exercise the
-        // lane-program invalidation path against an independent engine.
-        // Netopt stays off in the group, so the laned raw stream is
-        // checked against netopt-optimized scalars (the optimizer's own
-        // laned path is covered in `netopt_equiv.rs`).
+        // can sit below the Auto threshold): the per-lane pokes below then
+        // exercise the lane-program invalidation path.
         let mut group = Sim::with_config(
             &design,
             ExecMode::Compiled,
             EngineConfig {
                 dispatch: DispatchMode::Threaded,
-                netopt: false,
                 ..EngineConfig::default()
             },
         )
@@ -80,7 +79,7 @@ proptest! {
         }
 
         // Batch phase: inputs held (still divergent across lanes), fused
-        // laned path vs the scalar batch path.
+        // laned path vs the interpreter run for the same cycles.
         group.run_batch(100);
         for scalar in &mut scalars {
             scalar.run(100);

@@ -2,32 +2,36 @@
 //!
 //! Randomized netlists — the shared `netgen` generator plus deliberately
 //! redundant shapes (dead cones, duplicated subexpressions, constant
-//! cones, identity chains, `dont_touch` pins) — are co-simulated with the
-//! optimizer **on** against the optimizer **off** and the interpreter
-//! oracle, across the engine configuration matrix (fused/unfused ×
-//! match/threaded × serial/partitioned × lanes). Every configuration must
-//! be bit-exact on every output every cycle, and final memory contents
-//! must agree word for word.
+//! cones, identity chains, `dont_touch` pins) — are co-simulated on the
+//! compiled engine, which always runs the optimizer first, against the
+//! interpreter oracle, which walks the elaborated tree verbatim, across
+//! the engine configuration matrix (fused/unfused × match/threaded ×
+//! serial/partitioned × lanes). Every configuration must be bit-exact on
+//! every output every cycle, and final memory contents must agree word
+//! for word.
 //!
-//! The standalone pipeline is additionally checked for the structural
-//! guarantees simulation alone cannot see: `dont_touch` nodes survive
-//! every pass, top-level I/O ports keep their names, widths and order,
-//! and the pipeline is idempotent at its fixed point (a second run
-//! applies zero rewrites and re-exports a byte-identical netlist).
+//! The standalone pipeline ([`Design::optimized`]) is additionally checked
+//! for the structural guarantees simulation alone cannot see: `dont_touch`
+//! nodes survive every pass, top-level I/O ports keep their names, widths
+//! and order, the pipeline is idempotent at its fixed point (a second run
+//! applies zero rewrites and re-exports a byte-identical netlist), and
+//! each rewrite family (folding, identities, sharing, dead logic, unused
+//! memories) actually shrinks the designs it targets.
 
 mod netgen;
 
 use atlantis_chdl::prelude::*;
 use atlantis_chdl::sim::ExecMode;
 use atlantis_chdl::{DispatchMode, EngineConfig, Nir, NirKind, ParallelEval, PassManager};
+use atlantis_simcore::rng::WorkloadRng;
 use netgen::{build_design_with_redundancy, XorShift, N_INPUTS};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Optimizer-on vs optimizer-off vs interpreter, across the engine
-    /// matrix plus a 2-lane group forked from the optimized sim.
+    /// Optimized compiled engine vs interpreter, across the engine matrix
+    /// plus a 2-lane group forked from the optimized sim.
     #[test]
     fn netopt_config_matrix_equivalence(
         recipes in proptest::collection::vec(
@@ -40,21 +44,18 @@ proptest! {
 
         let mut oracle = Sim::with_mode(&design, ExecMode::Interpreted);
         let configs = [
-            EngineConfig::default(),                  // netopt on, fused
-            EngineConfig { netopt: false, ..EngineConfig::default() },
-            EngineConfig { netopt: true, fuse: false, ..EngineConfig::default() },
+            EngineConfig::default(),                  // fused
+            EngineConfig { fuse: false, ..EngineConfig::default() },
             EngineConfig {
-                netopt: true,
                 dispatch: DispatchMode::Threaded,
                 ..EngineConfig::default()
             },
             EngineConfig {
-                netopt: true,
                 parallel: ParallelEval::Force(2),
                 dispatch: DispatchMode::Match,
                 ..EngineConfig::default()
             },
-            EngineConfig::unfused(),                  // everything off
+            EngineConfig::unfused(),                  // fusion and partitioning off
         ];
         let mut sims: Vec<Sim> = configs
             .iter()
@@ -65,9 +66,6 @@ proptest! {
         // shapes guarantee fold/share/dead targets exist.
         let on = sims[0].engine_stats().unwrap().clone();
         prop_assert!(on.netopt_nodes_after < on.netopt_nodes_before, "{on:?}");
-        let off = sims[1].engine_stats().unwrap().clone();
-        prop_assert!(on.ops_lowered < off.ops_lowered,
-            "netopt must lower fewer micro-ops: {} vs {}", on.ops_lowered, off.ops_lowered);
 
         // A lane group forked from the optimized sim inherits its stream.
         let lanes = 2usize;
@@ -159,18 +157,14 @@ proptest! {
         let surviving = (0..nir2.len() as u32).filter(|&i| nir2.is_dont_touch(i)).count();
         prop_assert_eq!(surviving, pinned.len());
 
-        // The pinned probes must read identically with the optimizer on
-        // and off (they are protected from both netopt and fusion).
+        // The pinned probes must read identically on the optimized engine
+        // and the interpreter (they are protected from netopt and fusion).
         let pins: Vec<String> = (0..shapes)
             .filter(|k| k % 5 == 4)
             .map(|k| format!("pin{k}"))
             .collect();
         let mut on = Sim::new(&design);
-        let mut off = Sim::with_config(
-            &design,
-            ExecMode::Compiled,
-            EngineConfig { netopt: false, ..EngineConfig::default() },
-        );
+        let mut off = Sim::with_mode(&design, ExecMode::Interpreted);
         let mut stim = XorShift(seed);
         for _ in 0..50 {
             for i in 0..N_INPUTS {
@@ -263,4 +257,297 @@ fn dead_cone_is_fully_eliminated() {
         stats.netopt_dead_gates >= 5,
         "lowering pipeline must also drop the cone: {stats:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// `Design::optimized` — the standalone pipeline, rewrite by rewrite
+// ---------------------------------------------------------------------
+
+/// Co-simulate a design against its optimized form on random stimuli:
+/// the interpreter on the elaborated design is the oracle, and both the
+/// interpreter and the compiled engine on the optimized design must match
+/// it on every output every cycle.
+fn assert_equivalent(d: &Design, cycles: u64, seed: u64) {
+    let (opt, _) = d.optimized();
+    let mut oracle = Sim::with_mode(d, ExecMode::Interpreted);
+    let mut opt_interp = Sim::with_mode(&opt, ExecMode::Interpreted);
+    let mut opt_compiled = Sim::new(&opt);
+    let inputs = d.inputs();
+    let outputs = d.output_ports();
+    let mut rng = WorkloadRng::seed_from_u64(seed);
+    for cycle in 0..cycles {
+        for (name, width) in &inputs {
+            let v = rng.below(1u64 << (*width as u64).min(63));
+            oracle.set(name, v);
+            opt_interp.set(name, v);
+            opt_compiled.set(name, v);
+        }
+        for (name, _) in &outputs {
+            let want = oracle.get(name);
+            assert_eq!(
+                opt_interp.get(name),
+                want,
+                "interpreted '{name}' cycle {cycle}"
+            );
+            assert_eq!(
+                opt_compiled.get(name),
+                want,
+                "compiled '{name}' cycle {cycle}"
+            );
+        }
+        oracle.step();
+        opt_interp.step();
+        opt_compiled.step();
+    }
+}
+
+#[test]
+fn constant_subtrees_fold() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    let a = d.lit(3, 8);
+    let b = d.lit(4, 8);
+    let k = d.mul(a, b); // 12, foldable
+    let y = d.add(x, k);
+    d.expose_output("y", y);
+    let (opt, ledger) = d.optimized();
+    assert!(ledger.consts_folded >= 1);
+    assert!(
+        opt.stats().gates < d.stats().gates,
+        "the 8-bit multiplier vanished"
+    );
+    assert_equivalent(&d, 10, 1);
+}
+
+#[test]
+fn identities_alias_away() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 16);
+    let zero = d.lit(0, 16);
+    let one = d.lit(1, 16);
+    let a = d.add(x, zero); // x
+    let b = d.mul(a, one); // x
+    let c = d.or(zero, b); // x
+    let ones = d.lit(0xFFFF, 16);
+    let e = d.and(c, ones); // x
+    d.expose_output("y", e);
+    let (opt, _) = d.optimized();
+    assert_eq!(opt.stats().gates, 0, "everything reduced to wiring");
+    assert_equivalent(&d, 10, 2);
+}
+
+#[test]
+fn constant_mux_selects_collapse() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    let y = d.input("y", 8);
+    let always = d.high();
+    let m1 = d.mux(always, x, y); // x
+    let never = d.low();
+    let m2 = d.mux(never, x, y); // y
+    let sel = d.input("s", 1);
+    let same = d.mux(sel, m1, m1); // mux of identical arms → m1
+    let s = d.add(m1, m2);
+    let s2 = d.add(s, same);
+    d.expose_output("z", s2);
+    let (opt, _) = d.optimized();
+    assert!(opt.stats().gates < d.stats().gates);
+    assert_equivalent(&d, 10, 3);
+}
+
+#[test]
+fn dead_logic_is_removed_but_labels_survive() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    let y = d.input("y", 8);
+    let used = d.add(x, y);
+    let dead = d.mul(x, y); // never consumed
+    let _dead2 = d.sub(dead, y);
+    let probed = d.xor(x, y);
+    d.label("probe", probed);
+    d.expose_output("out", used);
+    let (opt, ledger) = d.optimized();
+    assert!(ledger.nodes_before - ledger.nodes_after >= 2, "{ledger:?}");
+    // The probe must still be readable.
+    let mut sim = Sim::new(&opt);
+    sim.set("x", 5);
+    sim.set("y", 3);
+    assert_eq!(sim.get("probe"), 6);
+    assert_equivalent(&d, 10, 4);
+}
+
+#[test]
+fn unused_memories_are_dropped() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    d.memory("never_touched", 256, 32);
+    let m = d.memory("read_only", 16, 8);
+    let addr = d.trunc(x, 4);
+    let rd = d.read_async(m, addr);
+    d.expose_output("rd", rd);
+    let (opt, _) = d.optimized();
+    // Exactly one of the two memories is removed.
+    assert!(opt.find_memory("never_touched").is_none());
+    assert!(opt.find_memory("read_only").is_some());
+    assert_eq!(opt.stats().ram_bits, 16 * 8);
+    assert_equivalent(&d, 10, 5);
+}
+
+#[test]
+fn registers_and_feedback_survive() {
+    let mut d = Design::new("t");
+    let en = d.input("en", 1);
+    let c = d.counter("c", 8, en, None);
+    let one = d.lit(1, 8);
+    let useless = d.mul(c.value, one); // alias of the counter
+    d.expose_output("v", useless);
+    assert_equivalent(&d, 30, 6);
+    let (opt, _) = d.optimized();
+    assert_eq!(opt.stats().flip_flops, 8);
+}
+
+#[test]
+fn structurally_identical_subtrees_are_shared() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 16);
+    let y = d.input("y", 16);
+    // Two elaborations of the same subtree: (x ^ y) + (x & y), built
+    // twice from scratch, then combined. CSE must keep one copy.
+    let mut arms = Vec::new();
+    for _ in 0..2 {
+        let a = d.xor(x, y);
+        let b = d.and(x, y);
+        arms.push(d.add(a, b));
+    }
+    let z = d.mul(arms[0], arms[1]); // both arms resolve to one node
+    d.expose_output("z", z);
+    let (opt, ledger) = d.optimized();
+    // Sharing is transitive: the duplicate add's two operand edges move
+    // onto the first xor/and, then the mul's second operand moves onto
+    // the first add (now structurally identical) — three edges.
+    assert!(
+        ledger.subexprs_shared >= 3,
+        "xor/and/add pairs must be shared: {ledger:?}"
+    );
+    assert!(opt.stats().gates < d.stats().gates);
+    assert_equivalent(&d, 10, 8);
+}
+
+#[test]
+fn stateful_nodes_are_never_shared() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    // Two registers with identical inputs must stay distinct: they are
+    // stateful (a poke or future enable could diverge them).
+    let r1 = d.reg("r1", x);
+    let r2 = d.reg("r2", x);
+    let z = d.concat(r1, r2);
+    d.expose_output("z", z);
+    let (opt, ledger) = d.optimized();
+    assert_eq!(ledger.subexprs_shared, 0, "{ledger:?}");
+    assert_eq!(opt.stats().flip_flops, 16);
+    assert_equivalent(&d, 10, 9);
+}
+
+#[test]
+fn dont_touch_pins_nodes_through_optimization() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    let y = d.input("y", 8);
+    let zero = d.lit(0, 8);
+    let pinned_id = d.add(x, zero); // would alias to x
+    d.set_dont_touch(pinned_id);
+    let dup_a = d.xor(x, y);
+    let dup_b = d.xor(x, y); // would CSE onto dup_a
+    d.set_dont_touch(dup_b);
+    let dead = d.mul(x, y); // unconsumed — would be eliminated
+    d.set_dont_touch(dead);
+    let out = d.add(dup_a, x);
+    d.expose_output("out", out);
+    let (opt, _) = d.optimized();
+    // All three pinned nodes survive as distinct gate nodes, and the
+    // marks follow the copies.
+    let view = Nir::from_design(&opt);
+    let pins = (0..view.len() as u32)
+        .filter(|&i| view.is_dont_touch(i))
+        .count();
+    assert_eq!(pins, 3, "pins must propagate");
+    let binops = (0..view.len() as u32)
+        .filter(|&i| view.kind(i) == NirKind::Binop)
+        .count();
+    // pinned add, both xors, dead mul, plus the live output add.
+    assert_eq!(binops, 5, "pinned gates must not fold/share/die");
+    assert_equivalent(&d, 10, 10);
+}
+
+#[test]
+fn real_designs_shrink_and_stay_equivalent() {
+    // The elaborated accumulator family used across the repo.
+    let mut d = Design::new("t");
+    let x = d.input("x", 16);
+    let zero = d.lit(0, 16);
+    let mut acc = zero;
+    for i in 0..6u64 {
+        let k = d.lit(i % 3, 16); // some coefficients are 0 and 1
+        let term = d.mul(x, k);
+        acc = d.add(acc, term);
+    }
+    let r = d.reg("r", acc);
+    d.expose_output("y", r);
+    let before = d.stats().gates;
+    let (opt, ledger) = d.optimized();
+    assert!(opt.stats().gates < before, "{ledger:?}");
+    assert_equivalent(&d, 20, 7);
+}
+
+/// A shift by a constant at least the operand width shifts every bit out:
+/// netopt folds it to 0 (the rule used to live only in the engine's
+/// peephole). A pinned copy escapes netopt, and the engine must then leave
+/// it as a range-checked shift rather than an immediate form.
+#[test]
+fn shift_by_at_least_the_width_folds_to_zero() {
+    let mut d = Design::new("t");
+    let x = d.input("x", 8);
+    let eight = d.lit(8, 4);
+    let nine = d.lit(9, 4);
+    let three = d.lit(3, 4);
+    let gone_l = d.shl(x, eight);
+    let gone_r = d.shr(x, nine);
+    let kept = d.shl(x, three);
+    let pinned = d.shr(x, eight);
+    d.set_dont_touch(pinned);
+    let s = d.or(gone_l, gone_r);
+    let t = d.or(s, kept);
+    let y = d.or(t, pinned);
+    d.expose_output("y", y);
+    d.label("pinned", pinned);
+
+    let mut nir = Nir::from_design(&d);
+    let ledger = PassManager::standard().run(&mut nir);
+    assert_eq!(nir.kind(gone_l.node_index()), NirKind::Const);
+    assert_eq!(nir.const_value(gone_l.node_index()), Some(0));
+    assert_eq!(nir.kind(gone_r.node_index()), NirKind::Const);
+    assert_eq!(nir.const_value(gone_r.node_index()), Some(0));
+    assert_eq!(nir.kind(kept.node_index()), NirKind::Binop, "{ledger:?}");
+    assert_eq!(
+        nir.kind(pinned.node_index()),
+        NirKind::Binop,
+        "pins are never folded"
+    );
+
+    let mut sim = Sim::new(&d);
+    let stats = sim.engine_stats().unwrap().clone();
+    assert!(
+        stats.opcodes.iter().any(|(op, _)| *op == "shr"),
+        "the pinned shift keeps its range-checked opcode: {stats:?}"
+    );
+    let mut oracle = Sim::with_mode(&d, ExecMode::Interpreted);
+    for v in [0u64, 1, 0x80, 0xA5, 0xFF] {
+        sim.set("x", v);
+        oracle.set("x", v);
+        assert_eq!(sim.get("y"), oracle.get("y"), "x = {v:#x}");
+        assert_eq!(sim.get("y"), (v << 3) & 0xFF);
+        assert_eq!(sim.get("pinned"), 0);
+    }
+    assert_equivalent(&d, 10, 11);
 }

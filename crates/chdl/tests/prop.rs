@@ -209,7 +209,7 @@ proptest! {
         let (opt, _) = d.optimized();
         prop_assert!(opt.stats().gates <= d.stats().gates);
         prop_assert!(opt.stats().components <= d.stats().components);
-        let mut s1 = Sim::new(&d);
+        let mut s1 = Sim::with_mode(&d, ExecMode::Interpreted);
         let mut s2 = Sim::new(&opt);
         for v in stim {
             let vm = v & mask(16);
