@@ -59,7 +59,12 @@ fn bench_chdl(c: &mut Criterion) {
 
     c.bench_function("chdl_bitstream_generation", |b| {
         let fitted = atlantis_fabric::fit(&d, &atlantis_fabric::Device::orca_3t125()).unwrap();
-        b.iter(|| fitted.bitstream());
+        b.iter(|| {
+            atlantis_fabric::Bitstream::from_structure(
+                fitted.device(),
+                &fitted.design().structural_bytes(),
+            )
+        });
     });
 }
 

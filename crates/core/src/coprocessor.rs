@@ -80,16 +80,20 @@ impl Coprocessor {
         }
     }
 
-    /// Fit a design and register it under a task name.
+    /// Fit a design and register it under a task name. Re-registering
+    /// the loaded task's name makes the next [`Coprocessor::switch_to`]
+    /// load the new design.
     pub fn register(&mut self, name: impl Into<String>, design: &Design) -> Result<(), TaskError> {
         let fitted = fit(design, self.fpga.device()).map_err(TaskError::Fit)?;
-        self.library.insert(name.into(), fitted);
+        self.insert(name.into(), fitted);
         Ok(())
     }
 
     /// Register an already fitted design — the path a shared bitstream
     /// cache uses to install one fit result on many coprocessors without
-    /// re-running placement. The fit must target this device.
+    /// re-running placement. The fit must target this device. As with
+    /// [`Coprocessor::register`], re-registering the loaded task's name
+    /// makes the next switch load the new design.
     pub fn register_fitted(
         &mut self,
         name: impl Into<String>,
@@ -101,8 +105,17 @@ impl Coprocessor {
                 device: self.fpga.device().name.clone(),
             });
         }
-        self.library.insert(name.into(), fitted);
+        self.insert(name.into(), fitted);
         Ok(())
+    }
+
+    /// Add or replace a library entry. Replacing the loaded task forgets
+    /// that it is loaded: the FPGA still runs the old netlist.
+    fn insert(&mut self, name: String, fitted: FittedDesign) {
+        if self.current.as_ref() == Some(&name) {
+            self.current = None;
+        }
+        self.library.insert(name, fitted);
     }
 
     /// Whether a task name is already in the library.
@@ -132,18 +145,17 @@ impl Coprocessor {
         let fitted = self
             .library
             .get(name)
-            .ok_or_else(|| TaskError::UnknownTask(name.to_string()))?
-            .clone();
+            .ok_or_else(|| TaskError::UnknownTask(name.to_string()))?;
         let t = if self.fpga.is_configured() && self.fpga.device().partial_reconfig {
             let (frames, t) = self
                 .fpga
-                .partial_reconfigure(&fitted)
+                .partial_reconfigure(fitted)
                 .map_err(TaskError::Config)?;
             self.stats.partial_switches += 1;
             self.stats.frames_written += frames as u64;
             t
         } else {
-            let t = self.fpga.configure(&fitted).map_err(TaskError::Config)?;
+            let t = self.fpga.configure(fitted).map_err(TaskError::Config)?;
             self.stats.full_loads += 1;
             self.stats.frames_written += self.fpga.device().config_frames as u64;
             t
@@ -289,6 +301,41 @@ mod tests {
             wrong.register_fitted("fir_a", fitted),
             Err(TaskError::DeviceMismatch { .. })
         ));
+    }
+
+    /// Re-registering the loaded task's name must make the next switch
+    /// load the new design, not take the free no-op path and keep the
+    /// old netlist running under the new name.
+    #[test]
+    fn re_registering_the_loaded_task_reloads_it() {
+        let mut c = coproc();
+        c.switch_to("fir_a").unwrap();
+        let run = |c: &mut Coprocessor| {
+            let sim = c.fpga_mut().sim_mut().unwrap();
+            sim.set("x", 10);
+            sim.step();
+            sim.get("y")
+        };
+        assert_eq!(run(&mut c), 100, "taps 1,2,3,4 × 10");
+
+        c.register("fir_a", &task_design("fir_a", &[5, 6, 7, 8]))
+            .unwrap();
+        assert_eq!(c.current_task(), None, "the loaded design is stale");
+        let t = c.switch_to("fir_a").unwrap();
+        assert!(t > SimDuration::ZERO, "the new design is written");
+        assert_eq!(c.stats().partial_switches, 1);
+        assert_eq!(c.current_task(), Some("fir_a"));
+        assert_eq!(run(&mut c), 260, "taps 5,6,7,8 × 10");
+
+        // The pre-fitted path clears it too.
+        let refit = fit(&task_design("fir_a", &[1, 1, 1, 1]), c.fpga().device()).unwrap();
+        c.register_fitted("fir_a", refit).unwrap();
+        c.switch_to("fir_a").unwrap();
+        assert_eq!(run(&mut c), 40, "taps 1,1,1,1 × 10");
+
+        // Registering another name leaves the loaded task alone.
+        c.register("fir_c", &task_design("fir_c", &[2; 4])).unwrap();
+        assert_eq!(c.current_task(), Some("fir_a"));
     }
 
     #[test]

@@ -108,6 +108,27 @@ impl Bitstream {
     /// frames whose contents differ. Panics if the two images target
     /// different devices or frame counts.
     pub fn diff(&self, target: &Bitstream) -> PartialBitstream {
+        PartialBitstream {
+            device_name: self.device_name.clone(),
+            base_crc: self.crc(),
+            frames: self.differing(target).cloned().collect(),
+        }
+    }
+
+    /// How many frames [`Bitstream::diff`] would rewrite, without cloning
+    /// them or computing the base CRC — the cost of a partial
+    /// reconfiguration from `self` to `target`. Same panics as `diff`.
+    pub fn diff_len(&self, target: &Bitstream) -> usize {
+        self.differing(target).count()
+    }
+
+    /// The frames of `target` whose contents differ from `self`'s, in
+    /// address order: the one definition `diff`, `diff_len` and the
+    /// golden-image scrub share.
+    pub(crate) fn differing<'a>(
+        &'a self,
+        target: &'a Bitstream,
+    ) -> impl Iterator<Item = &'a Frame> {
         assert_eq!(
             self.device_name, target.device_name,
             "bitstream device mismatch"
@@ -117,18 +138,11 @@ impl Bitstream {
             target.frames.len(),
             "frame count mismatch"
         );
-        let frames = self
-            .frames
+        self.frames
             .iter()
             .zip(&target.frames)
             .filter(|(a, b)| a.data != b.data)
-            .map(|(_, b)| b.clone())
-            .collect();
-        PartialBitstream {
-            device_name: self.device_name.clone(),
-            base_crc: self.crc(),
-            frames,
-        }
+            .map(|(_, b)| b)
     }
 
     /// Apply a partial bitstream in place.
@@ -212,6 +226,7 @@ mod tests {
         let b = Bitstream::from_structure(&dev, &s2);
         let partial = a.diff(&b);
         assert_eq!(partial.frames.len(), 1, "one-byte change touches one frame");
+        assert_eq!(a.diff_len(&b), 1);
         let mut patched = a.clone();
         patched.apply(&partial);
         assert_eq!(patched, b);
@@ -224,6 +239,7 @@ mod tests {
         let a = Bitstream::from_structure(&dev, b"same");
         let partial = a.diff(&a.clone());
         assert!(partial.frames.is_empty());
+        assert_eq!(a.diff_len(&a), 0);
     }
 
     #[test]

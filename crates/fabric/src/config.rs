@@ -7,6 +7,13 @@
 //! configuration. [`Fpga`] models both paths with realistic virtual-time
 //! cost (frames × frame time at the configuration clock) and gives the
 //! host a live [`Sim`] of the configured design to drive.
+//!
+//! Loading a design installs its fit's golden image (built once by
+//! [`fit()`](crate::fit())) as the live image by reference: upset
+//! injection and repair copy it on their first write, so they never touch
+//! the image other FPGAs share. A task switch counts the frames that
+//! differ between the live image and the target, and brings the new design
+//! up as a clone of the fit's never-stepped prototype [`Sim`].
 
 use crate::bitstream::Bitstream;
 use crate::clock::ProgrammableClock;
@@ -15,6 +22,7 @@ use crate::fit::FittedDesign;
 use atlantis_chdl::{LaneGroup, Sim};
 use atlantis_simcore::{Frequency, SimDuration};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from configuration operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +86,8 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug)]
 struct Loaded {
     fitted: FittedDesign,
-    bitstream: Bitstream,
+    /// The live image: the fit's golden image until the first write.
+    bitstream: Arc<Bitstream>,
     sim: Sim,
 }
 
@@ -173,20 +182,13 @@ impl Fpga {
     /// configuration port. Returns the virtual time consumed.
     pub fn configure(&mut self, fitted: &FittedDesign) -> Result<SimDuration, ConfigError> {
         self.check_device(fitted)?;
-        let bitstream = fitted.bitstream();
-        let sim = Sim::new(fitted.design());
         let t = self.device.full_config_time();
         self.stats.full_configs += 1;
         self.stats.frames_written += self.device.config_frames as u64;
         self.stats.config_time += t;
-        self.loaded = Some(Loaded {
-            fitted: fitted.clone(),
-            bitstream,
-            sim,
-        });
         // A full configuration rewrites every frame: pending upsets are
         // overwritten with fresh configuration data.
-        self.upsets.clear();
+        self.install(fitted);
         Ok(t)
     }
 
@@ -204,37 +206,44 @@ impl Fpga {
             return Err(ConfigError::PartialUnsupported);
         }
         let loaded = self.loaded.as_ref().ok_or(ConfigError::NotConfigured)?;
-        let target = fitted.bitstream();
-        let partial = loaded.bitstream.diff(&target);
-        let frames = partial.frames.len() as u32;
+        let frames = loaded.bitstream.diff_len(fitted.golden()) as u32;
         let t = self.device.frame_config_time(frames);
-        let sim = Sim::new(fitted.design());
         self.stats.partial_configs += 1;
         self.stats.frames_written += frames as u64;
         self.stats.config_time += t;
-        self.loaded = Some(Loaded {
-            fitted: fitted.clone(),
-            bitstream: target,
-            sim,
-        });
         // The diff is taken against the *live* (possibly corrupted)
         // image, so every corrupted frame differs from the target and is
         // rewritten — a task switch heals pending upsets as a side
         // effect, exactly as on real hardware.
-        self.upsets.clear();
+        self.install(fitted);
         Ok((frames, t))
+    }
+
+    /// Make `fitted` the loaded design: its golden image becomes the live
+    /// image (shared until the first write), its logic comes up in the
+    /// init state, and no upset is pending.
+    fn install(&mut self, fitted: &FittedDesign) {
+        self.loaded = Some(Loaded {
+            fitted: fitted.clone(),
+            bitstream: Arc::clone(fitted.golden_shared()),
+            sim: fitted.fresh_sim(),
+        });
+        self.upsets.clear();
     }
 
     /// Read back the current configuration for verification (§2's
     /// “read-back/test” feature).
     pub fn readback(&self) -> Result<Bitstream, ConfigError> {
+        self.readback_image().cloned()
+    }
+
+    /// The image [`Fpga::readback`] would return, borrowed instead of
+    /// copied (golden-image compares).
+    pub(crate) fn readback_image(&self) -> Result<&Bitstream, ConfigError> {
         if !self.device.readback {
             return Err(ConfigError::ReadbackUnsupported);
         }
-        self.loaded
-            .as_ref()
-            .map(|l| l.bitstream.clone())
-            .ok_or(ConfigError::NotConfigured)
+        self.live_bitstream().ok_or(ConfigError::NotConfigured)
     }
 
     /// Clear the configuration (power-cycle / PRGM pin).
@@ -292,14 +301,17 @@ impl Fpga {
     }
 
     /// Mutable access to the live configuration image (scrubbing and
-    /// fault injection).
+    /// fault injection). Copies the image first while it is still the
+    /// shared golden image, so writes never reach other holders.
     pub(crate) fn live_bitstream_mut(&mut self) -> Option<&mut Bitstream> {
-        self.loaded.as_mut().map(|l| &mut l.bitstream)
+        self.loaded
+            .as_mut()
+            .map(|l| Arc::make_mut(&mut l.bitstream))
     }
 
     /// Shared access to the live configuration image (CRC scanning).
     pub(crate) fn live_bitstream(&self) -> Option<&Bitstream> {
-        self.loaded.as_ref().map(|l| &l.bitstream)
+        self.loaded.as_ref().map(|l| &*l.bitstream)
     }
 
     /// Account a scrub pass in the statistics.
@@ -455,7 +467,7 @@ mod tests {
         let f = fitted(1);
         fpga.configure(&f).unwrap();
         let rb = fpga.readback().unwrap();
-        assert_eq!(rb, f.bitstream());
+        assert_eq!(rb, *f.golden());
         assert!(rb.verify());
     }
 

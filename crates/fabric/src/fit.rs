@@ -2,15 +2,24 @@
 //!
 //! The fitter is the reproduction's stand-in for the vendor place-and-route
 //! flow: it checks an `atlantis-chdl` netlist against a [`Device`]'s
-//! capacity model and, on success, yields a [`FittedDesign`] from which a
-//! configuration [`Bitstream`] can be produced. Utilization reports use the
+//! capacity model and, on success, yields a [`FittedDesign`] carrying the
+//! design's golden configuration [`Bitstream`]. Utilization reports use the
 //! same “system gates” unit as the paper (“744k FPGA gates” per ACB).
+//!
+//! The capacity checks are cheap; the image is not (one CRC per frame over
+//! the whole device). [`fit()`] therefore builds the golden image exactly
+//! once, and a [`FittedDesign`] shares it — together with the netlist and
+//! a never-stepped prototype [`Sim`] built on first use — behind
+//! reference counts. Cloning a fit is O(1), every FPGA configured from it
+//! installs the same image copy-on-write, and every load starts from a
+//! clone of the same pristine simulator instead of re-elaborating.
 
 use crate::bitstream::Bitstream;
 use crate::device::Device;
-use atlantis_chdl::{Design, NetlistStats};
+use atlantis_chdl::{Design, NetlistStats, Sim};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Why a design does not fit a device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,45 +103,71 @@ pub struct FitReport {
     pub pin_utilization: f64,
 }
 
-/// A design successfully fitted onto a device.
+/// A design successfully fitted onto a device. Clones share one fit
+/// result (netlist, golden image, prototype simulator), so cloning is O(1).
 #[derive(Debug, Clone)]
 pub struct FittedDesign {
+    shared: Arc<Fitted>,
+}
+
+/// The immutable result of one [`fit()`], shared by every clone.
+#[derive(Debug)]
+struct Fitted {
     design: Design,
     device: Device,
     stats: NetlistStats,
+    golden: Arc<Bitstream>,
+    /// Elaborated on the first load and never stepped: every load clones it.
+    prototype: OnceLock<Sim>,
 }
 
 impl FittedDesign {
     /// The fitted netlist.
     pub fn design(&self) -> &Design {
-        &self.design
+        &self.shared.design
     }
 
     /// The target device.
     pub fn device(&self) -> &Device {
-        &self.device
+        &self.shared.device
     }
 
     /// Raw netlist statistics.
     pub fn stats(&self) -> NetlistStats {
-        self.stats
+        self.shared.stats
     }
 
     /// Utilization report.
     pub fn report(&self) -> FitReport {
+        let (stats, device) = (&self.shared.stats, &self.shared.device);
         FitReport {
-            gates: self.stats.gates,
-            flip_flops: self.stats.flip_flops,
-            ram_bits: self.stats.ram_bits,
-            io_pins: self.stats.io_pins,
-            gate_utilization: self.stats.gates as f64 / self.device.system_gates as f64,
-            pin_utilization: self.stats.io_pins as f64 / self.device.user_io as f64,
+            gates: stats.gates,
+            flip_flops: stats.flip_flops,
+            ram_bits: stats.ram_bits,
+            io_pins: stats.io_pins,
+            gate_utilization: stats.gates as f64 / device.system_gates as f64,
+            pin_utilization: stats.io_pins as f64 / device.user_io as f64,
         }
     }
 
-    /// Generate the configuration image for this design.
-    pub fn bitstream(&self) -> Bitstream {
-        Bitstream::from_structure(&self.device, &self.design.structural_bytes())
+    /// The golden configuration image of this design, built once by
+    /// [`fit()`] — what configuration writes and scrubbing compares against.
+    pub fn golden(&self) -> &Bitstream {
+        &self.shared.golden
+    }
+
+    /// The shared golden image, for installing as a copy-on-write live image.
+    pub(crate) fn golden_shared(&self) -> &Arc<Bitstream> {
+        &self.shared.golden
+    }
+
+    /// A simulator of the design in its init state: a clone of the fit's
+    /// prototype, which is elaborated on first use and never stepped.
+    pub(crate) fn fresh_sim(&self) -> Sim {
+        self.shared
+            .prototype
+            .get_or_init(|| Sim::new(&self.shared.design))
+            .clone()
     }
 }
 
@@ -163,17 +198,21 @@ pub fn fit(design: &Design, device: &Device) -> Result<FittedDesign, FitError> {
             have: device.user_io as u64,
         });
     }
-    let structure_len = design.structural_bytes().len() as u64;
-    if structure_len > device.bitstream_bytes() {
+    let structure = design.structural_bytes();
+    if structure.len() as u64 > device.bitstream_bytes() {
         return Err(FitError::BitstreamOverflow {
-            need: structure_len,
+            need: structure.len() as u64,
             have: device.bitstream_bytes(),
         });
     }
     Ok(FittedDesign {
-        design: design.clone(),
-        device: device.clone(),
-        stats,
+        shared: Arc::new(Fitted {
+            design: design.clone(),
+            device: device.clone(),
+            stats,
+            golden: Arc::new(Bitstream::from_structure(device, &structure)),
+            prototype: OnceLock::new(),
+        }),
     })
 }
 
@@ -259,9 +298,14 @@ mod tests {
     #[test]
     fn bitstream_generation_from_fit() {
         let f = fit(&small_design(), &Device::orca_3t125()).unwrap();
-        let bs = f.bitstream();
+        let bs = f.golden();
         assert!(bs.verify());
         assert_eq!(bs.device_name, "ORCA 3T125");
+        assert_eq!(
+            *bs,
+            Bitstream::from_structure(f.device(), &f.design().structural_bytes()),
+            "the golden image is the design's structure spread over the frames"
+        );
     }
 
     #[test]
@@ -269,6 +313,22 @@ mod tests {
         let f1 = fit(&small_design(), &Device::orca_3t125()).unwrap();
         let f2 = fit(&small_design(), &Device::orca_3t125()).unwrap();
         assert_eq!(f1.stats(), f2.stats());
-        assert_eq!(f1.bitstream(), f2.bitstream());
+        assert_eq!(f1.golden(), f2.golden());
+    }
+
+    #[test]
+    fn clones_share_one_fit() {
+        let f = fit(&small_design(), &Device::orca_3t125()).unwrap();
+        let g = f.clone();
+        assert!(Arc::ptr_eq(f.golden_shared(), g.golden_shared()));
+        assert!(std::ptr::eq(f.design(), g.design()));
+        // The prototype is built once, by whichever clone loads first.
+        let (a, b) = (f.fresh_sim(), g.fresh_sim());
+        assert_eq!(a.cycle(), 0);
+        assert_eq!(b.cycle(), 0);
+        assert!(std::ptr::eq(
+            f.shared.prototype.get().unwrap(),
+            g.shared.prototype.get().unwrap()
+        ));
     }
 }

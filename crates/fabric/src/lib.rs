@@ -15,12 +15,14 @@
 //!   user I/O, configuration frames) for the parts used in the project and
 //!   its predecessors,
 //! * [`fit()`](fit()) — fits an `atlantis-chdl` netlist onto a device, rejecting
-//!   designs that exceed any budget,
+//!   designs that exceed any budget, and builds the design's golden
+//!   configuration image once,
 //! * [`Bitstream`] — deterministic frame-based configuration images with
 //!   per-frame CRCs, derived from the netlist structure,
 //! * [`Fpga`] — a configurable part: full configuration, **partial
 //!   reconfiguration** (only the differing frames are rewritten, enabling
-//!   fast hardware task switches), and **read-back**,
+//!   fast hardware task switches), and **read-back**; the live image is
+//!   the fit's golden image, shared copy-on-write,
 //! * [`ProgrammableClock`] — the software-programmable clocks, “a few MHz
 //!   up to at least 80 MHz” (§2).
 //!

@@ -32,6 +32,7 @@
 use crate::bitstream::Frame;
 use crate::config::{ConfigError, Fpga};
 use atlantis_simcore::SimDuration;
+use std::sync::Arc;
 
 /// One injected-but-unrepaired configuration upset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +125,8 @@ impl Fpga {
 
     /// Whether the live configuration still matches its golden image.
     pub fn integrity_ok(&self) -> Result<bool, ConfigError> {
-        let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.bitstream();
-        let live = self.readback()?;
-        Ok(live == golden)
+        let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.golden();
+        Ok(self.readback_image()? == golden)
     }
 
     /// A deterministic digest of the pending upsets — what the guard
@@ -183,23 +183,21 @@ impl Fpga {
     /// *other* frames survive; stealthy flips sharing a repaired frame
     /// are healed with it.
     pub fn repair_upsets(&mut self) -> Result<ScrubReport, ConfigError> {
-        let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.bitstream();
-        let mut frames: Vec<u32> = self.pending_upsets().iter().map(|u| u.frame).collect();
-        frames.sort_unstable();
-        frames.dedup();
-        let mut repaired = 0u32;
-        let mut healed = Vec::new();
-        {
-            let live = self
-                .live_bitstream_mut()
-                .ok_or(ConfigError::NotConfigured)?;
-            for &f in &frames {
-                if !live.frames[f as usize].verify() {
-                    let gf = &golden.frames[f as usize];
-                    live.frames[f as usize] = Frame::new(gf.index, gf.data.clone());
-                    repaired += 1;
-                    healed.push(f);
-                }
+        let golden = Arc::clone(
+            self.fitted()
+                .ok_or(ConfigError::NotConfigured)?
+                .golden_shared(),
+        );
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        let mut healed: Vec<u32> = self.pending_upsets().iter().map(|u| u.frame).collect();
+        healed.sort_unstable();
+        healed.dedup();
+        healed.retain(|&f| !live.frames[f as usize].verify());
+        let repaired = healed.len() as u32;
+        if repaired > 0 {
+            let live = self.live_bitstream_mut().expect("configured");
+            for &f in &healed {
+                live.frames[f as usize] = golden.frames[f as usize].clone();
             }
         }
         self.upsets_mut().retain(|u| !healed.contains(&u.frame));
@@ -218,22 +216,23 @@ impl Fpga {
     /// a scrub the whole image has been verified against the golden
     /// bitstream, stealthy corruption included.
     pub fn scrub(&mut self) -> Result<ScrubReport, ConfigError> {
-        let golden = self.fitted().ok_or(ConfigError::NotConfigured)?.bitstream();
+        let golden = Arc::clone(
+            self.fitted()
+                .ok_or(ConfigError::NotConfigured)?
+                .golden_shared(),
+        );
         let readback_time = self.device().full_config_time();
-        let mut repaired = 0u32;
-        let mut crc_detectable = 0u32;
-        {
-            let live = self
-                .live_bitstream_mut()
-                .ok_or(ConfigError::NotConfigured)?;
-            for (live_f, golden_f) in live.frames.iter_mut().zip(&golden.frames) {
-                if live_f.data != golden_f.data {
-                    if !live_f.verify() {
-                        crc_detectable += 1;
-                    }
-                    *live_f = Frame::new(golden_f.index, golden_f.data.clone());
-                    repaired += 1;
-                }
+        let live = self.live_bitstream().ok_or(ConfigError::NotConfigured)?;
+        let corrupted: Vec<usize> = live.differing(&golden).map(|f| f.index as usize).collect();
+        let crc_detectable = corrupted
+            .iter()
+            .filter(|&&i| !live.frames[i].verify())
+            .count() as u32;
+        let repaired = corrupted.len() as u32;
+        if repaired > 0 {
+            let live = self.live_bitstream_mut().expect("configured");
+            for &i in &corrupted {
+                live.frames[i] = golden.frames[i].clone();
             }
         }
         self.upsets_mut().clear();

@@ -4,6 +4,7 @@
 use atlantis_chdl::Design;
 use atlantis_fabric::{fit, Bitstream, Device, Fpga};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn design_from_taps(taps: &[u64]) -> Design {
     let mut d = Design::new("fir");
@@ -79,7 +80,7 @@ proptest! {
         let fitted = fit(&design_from_taps(&[3, 5, 7]), &dev).unwrap();
         let mut fpga = Fpga::new(dev.clone());
         fpga.configure(&fitted).unwrap();
-        let golden = fitted.bitstream();
+        let golden = fitted.golden().clone();
         for (f, b, bit, stealthy) in upsets {
             let frame = f % dev.config_frames;
             let byte = b % dev.frame_bytes;
@@ -108,6 +109,47 @@ proptest! {
         prop_assert!(fpga.integrity_ok().unwrap());
         prop_assert!(fpga.pending_upsets().is_empty());
         prop_assert_eq!(fpga.readback().unwrap(), golden);
+    }
+
+    /// Two FPGAs configured from one fit share its golden image copy-on-
+    /// write: upsets injected into one never reach the fit or the other
+    /// FPGA, only the corrupted one fails the golden compare, and a scrub
+    /// heals it back to the golden image.
+    #[test]
+    fn upsets_stay_in_the_corrupted_image(upsets in proptest::collection::vec((any::<u32>(), any::<u32>(), 0u8..8, any::<bool>()), 1..16)) {
+        let dev = Device::orca_3t125();
+        let fitted = fit(&design_from_taps(&[3, 5, 7]), &dev).unwrap();
+        let golden = fitted.golden().clone();
+        let mut victim = Fpga::new(dev.clone());
+        let mut bystander = Fpga::new(dev.clone());
+        victim.configure(&fitted).unwrap();
+        bystander.configure(&fitted).unwrap();
+        // Distinct bits only: no flip cancels another, so the image ends
+        // up corrupt.
+        let mut hit = BTreeSet::new();
+        for (f, b, bit, stealthy) in upsets {
+            let (frame, byte) = (f % dev.config_frames, b % dev.frame_bytes);
+            if !hit.insert((frame, byte, bit)) {
+                continue;
+            }
+            if stealthy {
+                victim.inject_upset_stealthy(frame, byte, bit).unwrap();
+            } else {
+                victim.inject_upset(frame, byte, bit).unwrap();
+            }
+        }
+        prop_assert_eq!(fitted.golden(), &golden);
+        prop_assert_eq!(&bystander.readback().unwrap(), &golden);
+        prop_assert!(bystander.integrity_ok().unwrap());
+        prop_assert!(!victim.integrity_ok().unwrap());
+        prop_assert_ne!(&victim.readback().unwrap(), &golden);
+
+        let report = victim.scrub().unwrap();
+        prop_assert!(report.frames_repaired > 0);
+        prop_assert_eq!(&victim.readback().unwrap(), fitted.golden());
+        prop_assert!(victim.integrity_ok().unwrap());
+        prop_assert_eq!(fitted.golden(), &golden);
+        prop_assert!(bystander.integrity_ok().unwrap());
     }
 
     /// A partially reconfigured FPGA behaves exactly like one configured

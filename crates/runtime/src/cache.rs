@@ -1,13 +1,13 @@
 //! The shared bitstream cache.
 //!
-//! Fitting (place & route) is the expensive step of configuration —
 //! §2's partial reconfiguration only pays off because the fitted
-//! bitstreams of recurring tasks are kept around. The cache fits each
-//! workload design once per device family and hands out shared
-//! [`FittedDesign`]s; every worker installs them into its coprocessor's
-//! task library via
+//! bitstreams of recurring tasks are kept around. A fit builds the
+//! design's golden configuration image (and, on first load, its prototype
+//! simulator) — the costly part of a fit. The cache fits each workload
+//! design once per device family and hands out shared [`FittedDesign`]s;
+//! every worker installs them into its coprocessor's task library via
 //! [`Coprocessor::register_fitted`](atlantis_core::Coprocessor::register_fitted),
-//! so repeat configurations never re-run the fitter.
+//! so repeat configurations never re-run the fitter or rebuild an image.
 
 use atlantis_apps::jobs::JobKind;
 use atlantis_fabric::{fit, Device, FitError, FittedDesign};
