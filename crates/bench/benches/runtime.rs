@@ -3,13 +3,13 @@
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{JobRequest, Runtime, RuntimeConfig, SchedPolicy};
+use atlantis_runtime::{JobRequest, PickConfig, Runtime, RuntimeConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn serve_batch(policy: SchedPolicy, jobs: u64) -> u64 {
+fn serve_batch(pick: PickConfig, jobs: u64) -> u64 {
     let system = AtlantisSystem::builder().with_acbs(2).build();
     let config = RuntimeConfig {
-        policy,
+        pick,
         queue_capacity: jobs as usize + 1,
         ..RuntimeConfig::default()
     };
@@ -30,11 +30,11 @@ fn serve_batch(policy: SchedPolicy, jobs: u64) -> u64 {
 
 fn bench_runtime(c: &mut Criterion) {
     c.bench_function("runtime_mixed_64_jobs_fifo", |b| {
-        b.iter(|| serve_batch(SchedPolicy::Fifo, 64));
+        b.iter(|| serve_batch(PickConfig::fifo(), 64));
     });
 
     c.bench_function("runtime_mixed_64_jobs_reconfig_aware", |b| {
-        b.iter(|| serve_batch(SchedPolicy::ReconfigAware { batch_window: 32 }, 64));
+        b.iter(|| serve_batch(PickConfig::default(), 64));
     });
 }
 

@@ -53,9 +53,11 @@ fn run(pipeline: bool) -> RunOutput {
         // Both arms batch aggressively so design switches (which cannot
         // be pipelined — the fabric is being rewritten) don't mask the
         // quantity under test.
-        policy: atlantis_runtime::SchedPolicy::ReconfigAware { batch_window: 64 },
-        scan_depth: 256,
-        aging_limit: 64,
+        pick: atlantis_runtime::PickConfig {
+            batch_window: 64,
+            scan_depth: 256,
+            aging_limit: 64,
+        },
         ..RuntimeConfig::default()
     };
     let system = AtlantisSystem::builder().with_acbs(ACBS).build();

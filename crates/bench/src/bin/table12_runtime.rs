@@ -17,7 +17,7 @@ use atlantis_apps::jobs::JobSpec;
 use atlantis_bench::{f, Checker, Table};
 use atlantis_core::AtlantisSystem;
 use atlantis_runtime::{
-    JobRequest, Priority, Runtime, RuntimeConfig, RuntimeError, RuntimeStats, SchedPolicy,
+    JobRequest, PickConfig, Priority, Runtime, RuntimeConfig, RuntimeError, RuntimeStats,
 };
 use std::sync::Arc;
 
@@ -31,9 +31,9 @@ struct RunOutput {
     results: Vec<(u64, u64)>,
 }
 
-fn run(policy: SchedPolicy) -> RunOutput {
+fn run(pick: PickConfig) -> RunOutput {
     let config = RuntimeConfig {
-        policy,
+        pick,
         // Large enough that admission is not the bottleneck in the
         // throughput experiment; the saturation run exercises the bound.
         queue_capacity: 2048,
@@ -110,8 +110,8 @@ fn main() -> std::process::ExitCode {
     let total = u64::from(CLIENTS) * JOBS_PER_CLIENT;
 
     println!("mixed workload: {total} jobs from {CLIENTS} clients on {ACBS} ACBs, both policies\n");
-    let fifo = run(SchedPolicy::Fifo);
-    let aware = run(SchedPolicy::ReconfigAware { batch_window: 32 });
+    let fifo = run(PickConfig::fifo());
+    let aware = run(PickConfig::default());
 
     let mut table = Table::new(
         "Table 12: multi-tenant serving, FIFO vs reconfiguration-aware",

@@ -2,14 +2,19 @@
 //! byte-identically, and the router must agree with a brute-force
 //! oracle on every affinity/spill decision.
 
-use atlantis_apps::jobs::JobKind;
+use atlantis_apps::jobs::{JobKind, JobSpec};
 use atlantis_cluster::{
     router::{rendezvous_weight, RouteKind, Router, RoutingPolicy, ShardView},
-    AdmissionConfig, Cluster, ClusterConfig, LoadGen, LoadGenConfig,
+    AdmissionConfig, Cluster, ClusterConfig, LoadGen, LoadGenConfig, StealConfig, StealingPolicy,
 };
+use atlantis_fabric::Device;
 use atlantis_guard::DegradationConfig;
-use atlantis_runtime::ShardConfig;
+use atlantis_runtime::{
+    BitstreamCache, PickConfig, Priority, ShardConfig, ShardJob, ShardScheduler,
+};
 use atlantis_simcore::rng::WorkloadRng;
+use atlantis_simcore::SimTime;
+use std::sync::Arc;
 
 fn campaign_config(seed: u64) -> (ClusterConfig, LoadGenConfig) {
     (
@@ -189,4 +194,182 @@ fn rendezvous_never_elects_a_dead_shard() {
             );
         }
     }
+}
+
+// ---- golden scheduler pins -------------------------------------------
+//
+// The digests pin the scheduler's exact behaviour — every pick, every
+// virtual timestamp, every counter — so a refactor of the scheduling
+// core must leave them unchanged. A change that is *meant* to alter
+// scheduling (a new placement rule, a switch-breakeven test) re-pins
+// them by running these tests with `GOLDEN_PRINT=1` and `--nocapture`,
+// pasting the printed values, and saying why in CHANGES.md.
+
+/// FNV-1a (64-bit) over a byte stream — hand-rolled so the pins need no
+/// hashing dependency and never change with a library version.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Digest of one open-loop campaign: the cluster fingerprint plus the
+/// completion trace `(id, shard, board, checksum, done)` in retirement
+/// order.
+fn campaign_digest(cc: ClusterConfig, lc: LoadGenConfig) -> u64 {
+    let mut cluster = Cluster::new(cc).unwrap();
+    let fins = cluster.run_open_loop(LoadGen::new(lc));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut h, cluster.fingerprint().as_bytes());
+    for f in &fins {
+        for word in [
+            f.inner.id,
+            f.shard as u64,
+            f.inner.board as u64,
+            f.inner.checksum,
+            f.inner.done.as_picos(),
+        ] {
+            fnv1a(&mut h, &word.to_le_bytes());
+        }
+    }
+    h
+}
+
+fn check_pin(name: &str, got: u64, want: u64) {
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        println!("{name}: {got:#018x}");
+    }
+    assert_eq!(got, want, "{name}: scheduling behaviour moved");
+}
+
+/// Nominal fleet capacity of 8 warm boards, jobs per virtual second.
+const FLEET_CAPACITY: f64 = 35_125.0 * 8.0;
+
+#[test]
+fn golden_degradation_campaign_digest() {
+    let (cc, lc) = campaign_config(1234);
+    check_pin(
+        "degradation seed 1234",
+        campaign_digest(cc, lc),
+        0x243a_2b6b_dcbc_665d,
+    );
+}
+
+/// The benchmark's fleet — 4 shards x 2 boards, queue 32, stealing on —
+/// at 1.0x load: the reconfiguration-bound overload path.
+#[test]
+fn golden_stealing_fleet_full_load_digest() {
+    let cc = ClusterConfig {
+        shards: 4,
+        shard: ShardConfig {
+            boards: 2,
+            queue_capacity: 32,
+            ..ShardConfig::default()
+        },
+        stealing: StealingPolicy::Enabled(StealConfig::default()),
+        ..ClusterConfig::default()
+    };
+    let lc = LoadGenConfig {
+        seed: 1,
+        rate: FLEET_CAPACITY,
+        jobs: 2_000,
+        ..LoadGenConfig::default()
+    };
+    check_pin(
+        "fleet 4x2 stealing 1.0x",
+        campaign_digest(cc, lc),
+        0x83dc_7e8d_d761_1e69,
+    );
+}
+
+/// One shard of eight boards at 0.125x load — the intra-shard design
+/// thrash shape: every family shares one queue, and idle boards
+/// reconfigure for the queue head with no cost/benefit test. A
+/// switch-breakeven placement rule is expected to change this pin.
+#[test]
+fn golden_single_shard_thrash_shape_digest() {
+    let cc = ClusterConfig {
+        shards: 1,
+        shard: ShardConfig {
+            boards: 8,
+            queue_capacity: 32,
+            ..ShardConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let lc = LoadGenConfig {
+        seed: 1,
+        rate: 0.125 * FLEET_CAPACITY,
+        jobs: 2_000,
+        ..LoadGenConfig::default()
+    };
+    check_pin(
+        "1x8 at 0.125x",
+        campaign_digest(cc, lc),
+        0x6c4e_3540_0312_42ae,
+    );
+}
+
+/// The service order of a fixed 40-job mixed backlog (three priority
+/// classes, four kinds) on one board, all admitted at once.
+fn backlog_pick_order(pick: ShardConfig) -> Vec<u64> {
+    let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
+    cache.prefit_all().unwrap();
+    let mut shard = ShardScheduler::new(
+        ShardConfig {
+            boards: 1,
+            queue_capacity: 64,
+            ..pick
+        },
+        cache,
+    )
+    .unwrap();
+    for i in 0..40u64 {
+        let priority = match i % 7 {
+            0 => Priority::High,
+            3 | 5 => Priority::Low,
+            _ => Priority::Normal,
+        };
+        let job = ShardJob {
+            id: i,
+            tenant: (i % 3) as u32,
+            priority,
+            spec: JobSpec::mixed(i),
+        };
+        shard.submit(SimTime::ZERO, job).unwrap();
+    }
+    shard.drain().iter().map(|f| f.id).collect()
+}
+
+#[test]
+fn golden_backlog_pick_order() {
+    let aware = backlog_pick_order(ShardConfig {
+        pick: PickConfig {
+            batch_window: 32,
+            ..PickConfig::default()
+        },
+        ..ShardConfig::default()
+    });
+    let fifo = backlog_pick_order(ShardConfig {
+        pick: PickConfig::fifo(),
+        ..ShardConfig::default()
+    });
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        println!("aware: {aware:?}\nfifo: {fifo:?}");
+    }
+    assert_eq!(
+        aware,
+        [
+            0, 35, 7, 21, 14, 28, 13, 15, 29, 30, 1, 2, 16, 18, 32, 34, 4, 6, 8, 9, 11, 25, 27, 20,
+            22, 23, 36, 37, 39, 5, 38, 3, 17, 19, 33, 10, 24, 26, 12, 31
+        ]
+    );
+    assert_eq!(
+        fifo,
+        [
+            0, 7, 14, 21, 28, 35, 1, 2, 4, 6, 8, 9, 11, 13, 15, 16, 18, 20, 22, 23, 25, 27, 29, 30,
+            32, 34, 36, 37, 39, 3, 5, 10, 12, 17, 19, 24, 26, 31, 33, 38
+        ]
+    );
 }

@@ -5,11 +5,14 @@
 //! design's golden configuration image (and, on first load, its prototype
 //! simulator) — the costly part of a fit. The cache fits each workload
 //! design once per device family and hands out shared [`FittedDesign`]s;
-//! every worker installs them into its coprocessor's task library via
+//! every board installs them into its coprocessor's task library via
 //! [`Coprocessor::register_fitted`](atlantis_core::Coprocessor::register_fitted),
 //! so repeat configurations never re-run the fitter or rebuild an image.
 
+use crate::error::RuntimeError;
 use atlantis_apps::jobs::JobKind;
+use atlantis_core::coprocessor::{TaskError, TaskStats};
+use atlantis_core::Coprocessor;
 use atlantis_fabric::{fit, Device, FitError, FittedDesign};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -64,6 +67,31 @@ impl BitstreamCache {
             .unwrap()
             .insert(kind.design_name(), Arc::clone(&fitted));
         Ok(fitted)
+    }
+
+    /// Switch `coproc` to `kind`'s design — installing the cached fit
+    /// into its task library on first use — and return the task-stats
+    /// delta the switch caused. `reconfig_time` is the switch's virtual
+    /// cost: zero when the design was already loaded.
+    pub(crate) fn switch(
+        &self,
+        coproc: &mut Coprocessor,
+        kind: JobKind,
+    ) -> Result<TaskStats, RuntimeError> {
+        let name = kind.design_name();
+        if !coproc.has_task(name) {
+            let fitted = self.get(kind).map_err(TaskError::Fit)?;
+            coproc.register_fitted(name, (*fitted).clone())?;
+        }
+        let before = coproc.stats();
+        coproc.switch_to(name)?;
+        let after = coproc.stats();
+        Ok(TaskStats {
+            full_loads: after.full_loads - before.full_loads,
+            partial_switches: after.partial_switches - before.partial_switches,
+            frames_written: after.frames_written - before.frames_written,
+            reconfig_time: after.reconfig_time - before.reconfig_time,
+        })
     }
 
     /// `(hits, misses)` of [`BitstreamCache::get`] since construction.

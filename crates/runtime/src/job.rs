@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 
 /// Admission priority. Higher classes are always served first; within a
 /// class the scheduler may reorder bounded-many positions to batch jobs
-/// sharing a design (see
-/// [`SchedPolicy::ReconfigAware`](crate::SchedPolicy::ReconfigAware)).
+/// sharing a design (see [`PickConfig`](crate::PickConfig)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Latency-critical (e.g. online trigger decisions).

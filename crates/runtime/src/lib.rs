@@ -16,9 +16,11 @@
 //! design currently loaded on its FPGA and prefers nearby queued jobs
 //! for that design (bounded look-ahead, bounded batch length, bounded
 //! skip count — no starvation), so same-design jobs batch and the
-//! per-switch configuration cost amortises. Fitted bitstreams are kept
-//! in a shared [`BitstreamCache`], so no job ever waits on the fitter
-//! after warm-up.
+//! per-switch configuration cost amortises. That pick lives in one
+//! [`SchedCore`], shared by the threaded [`Runtime`] and the
+//! virtual-time [`ShardScheduler`] and tuned by one [`PickConfig`].
+//! Fitted bitstreams are kept in a shared [`BitstreamCache`], so no job
+//! ever waits on the fitter after warm-up.
 //!
 //! ```no_run
 //! use atlantis_core::AtlantisSystem;
@@ -43,6 +45,7 @@ mod error;
 mod guard;
 mod job;
 mod queue;
+mod sched;
 mod shard;
 mod stats;
 mod worker;
@@ -52,12 +55,12 @@ pub use cache::BitstreamCache;
 pub use error::RuntimeError;
 pub use guard::GuardConfig;
 pub use job::{JobHandle, JobRequest, JobResult, JobTimings, Priority};
+pub use sched::{Affinity, PickConfig, SchedCore, Schedulable};
 pub use shard::{
     FabricKind, ShardCompletion, ShardConfig, ShardJob, ShardReject, ShardScheduler, ShardStats,
     StolenJob,
 };
 pub use stats::{LatencyHistogram, LogHistogram, RuntimeStats};
-pub use worker::SchedPolicy;
 
 use atlantis_core::coprocessor::TaskError;
 use atlantis_core::AtlantisSystem;
@@ -65,7 +68,7 @@ use atlantis_fabric::Device;
 use atlantis_pci::OverlapConfig;
 use atlantis_simcore::SimDuration;
 use job::QueuedJob;
-use queue::{JobQueue, PickConfig};
+use queue::JobQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -78,14 +81,9 @@ pub struct RuntimeConfig {
     /// Hard bound on queued (not yet running) jobs; submissions beyond
     /// it are rejected with [`RuntimeError::Overloaded`].
     pub queue_capacity: usize,
-    /// The scheduling policy.
-    pub policy: SchedPolicy,
-    /// How far into a priority class a reconfiguration-aware worker may
-    /// look for a job matching its loaded design.
-    pub scan_depth: usize,
-    /// A queued job skipped this many times is served next regardless
-    /// of the loaded design (starvation bound).
-    pub aging_limit: u32,
+    /// The reconfiguration-aware pick; [`PickConfig::fifo`] is strict
+    /// per-class FIFO.
+    pub pick: PickConfig,
     /// Serve through the three-stage software pipeline (prefetch /
     /// execute / writeback on the PLX9080's two DMA channels) so DMA and
     /// compute overlap. `false` serves each job end to end — the
@@ -113,9 +111,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             queue_capacity: 256,
-            policy: SchedPolicy::ReconfigAware { batch_window: 32 },
-            scan_depth: 64,
-            aging_limit: 8,
+            pick: PickConfig::default(),
             pipeline: true,
             overlap: OverlapConfig::default(),
             lanes: 8,
@@ -129,7 +125,7 @@ impl RuntimeConfig {
     /// baseline the reconfiguration-aware policy is measured against.
     pub fn fifo() -> Self {
         RuntimeConfig {
-            policy: SchedPolicy::Fifo,
+            pick: PickConfig::fifo(),
             ..Self::default()
         }
     }
@@ -181,18 +177,9 @@ impl Runtime {
         let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
         cache.prefit_all().map_err(TaskError::Fit)?;
 
-        let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        queue.set_workers(devices);
+        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.pick, devices));
         let pool = BufferPool::new();
         let shared = Arc::new(Mutex::new(SharedStats::new(devices)));
-        let pick = PickConfig {
-            scan_depth: config.scan_depth,
-            batch_window: match config.policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::ReconfigAware { batch_window } => batch_window,
-            },
-            aging_limit: config.aging_limit,
-        };
 
         let mut workers = Vec::with_capacity(devices);
         for (i, mut driver) in acbs.into_iter().enumerate() {
@@ -202,8 +189,6 @@ impl Runtime {
                 driver,
                 Arc::clone(&queue),
                 Arc::clone(&cache),
-                config.policy,
-                pick,
                 Arc::clone(&shared),
                 Arc::clone(&pool),
                 config.pipeline,
@@ -439,6 +424,36 @@ mod tests {
         assert_eq!(r.client, 7);
         let stats = rt.shutdown();
         assert_eq!(stats.per_kind[0], 1);
+    }
+
+    /// The retry-after hint divides by the workers still serving: a
+    /// quarantined device no longer drains the queue.
+    #[test]
+    fn quarantine_lowers_the_retry_after_divisor() {
+        let guard = GuardConfig {
+            upset_rate: 6_000.0,
+            upset_seed: 5,
+            quarantine_after: 2,
+            max_retries: 12,
+            retry_backoff: SimDuration::from_micros(10),
+            ..GuardConfig::protected()
+        };
+        let config = RuntimeConfig {
+            guard,
+            queue_capacity: 100,
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::serve(small_system(2), config).unwrap();
+        assert_eq!(rt.queue.workers(), 2);
+        let handles: Vec<_> = (0..100)
+            .map(|i| rt.submit(JobRequest::new(0, JobSpec::mixed(i))).unwrap())
+            .collect();
+        for h in handles {
+            let _ = h.wait();
+        }
+        let stats = rt.stats();
+        assert_eq!(stats.quarantined_devices, 1);
+        assert_eq!(rt.queue.workers(), 2 - stats.quarantined_devices as usize);
     }
 
     #[test]

@@ -1,146 +1,114 @@
-//! The bounded, priority-classed admission queue.
+//! The threaded runtime's admission queue: a [`SchedCore`] behind a
+//! mutex, plus the condvar idle workers block on.
 //!
 //! Capacity is a hard bound: a full queue rejects new submissions with
 //! [`RuntimeError::Overloaded`] instead of growing (no OOM under
 //! overload) or blocking the submitter (no convoy of stuck clients).
 //! Workers block on a condvar while the queue is empty; closing the
 //! queue wakes everyone, and popping keeps returning queued jobs until
-//! the queue has fully drained — an accepted job is never dropped.
+//! the queue has fully drained — an accepted job is never dropped. The
+//! classes, the pick and the retry-after estimate are the shared core's.
 
 use crate::error::RuntimeError;
 use crate::job::{Priority, QueuedJob};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sched::{Affinity, PickConfig, SchedCore, Schedulable};
+use atlantis_apps::jobs::JobKind;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// What a worker's pop returned.
-#[derive(Debug)]
-pub(crate) enum Pop {
-    /// A job to execute.
-    Job(QueuedJob),
-    /// The queue is closed and empty — the worker should exit.
-    Drained,
-}
+impl Schedulable for QueuedJob {
+    fn priority(&self) -> Priority {
+        self.request.priority
+    }
 
-#[derive(Debug)]
-struct Entry {
-    job: QueuedJob,
-    /// How many times a later same-design job was batched past this one.
-    skips: u32,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    classes: [VecDeque<Entry>; Priority::CLASSES],
-    len: usize,
-    closed: bool,
-}
-
-/// How a worker picks its next job from the queue.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PickConfig {
-    /// Prefer a job for the already-loaded design within this many
-    /// entries of the head of the urgent-most non-empty class.
-    pub scan_depth: usize,
-    /// Stop preferring the loaded design after this many consecutive
-    /// same-design jobs (forces eventual rotation).
-    pub batch_window: usize,
-    /// A job skipped this many times must be taken next regardless of
-    /// the loaded design (starvation bound).
-    pub aging_limit: u32,
+    fn kind(&self) -> JobKind {
+        self.request.spec.kind
+    }
 }
 
 #[derive(Debug)]
 pub(crate) struct JobQueue {
-    inner: Mutex<Inner>,
+    core: Mutex<SchedCore<QueuedJob>>,
     not_empty: Condvar,
-    capacity: usize,
-    /// EWMA of per-job wall service time in nanoseconds, updated by
-    /// workers on every completion; zero until the first completion.
-    /// Feeds the `retry_after` hint in `Overloaded` rejections.
-    service_ewma_ns: AtomicU64,
-    /// Worker threads draining the queue (set once at serve time).
+    /// Set once admissions stop. Written before taking the lock to
+    /// notify, read under it, so no waiter misses the wakeup.
+    closed: AtomicBool,
+    /// Workers still draining the queue — the divisor of the
+    /// retry-after estimate. Quarantine lowers it, never below one.
     workers: AtomicUsize,
 }
 
 impl JobQueue {
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, pick: PickConfig, workers: usize) -> Self {
         JobQueue {
-            inner: Mutex::new(Inner::default()),
+            core: Mutex::new(SchedCore::new(capacity, pick)),
             not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-            service_ewma_ns: AtomicU64::new(0),
-            workers: AtomicUsize::new(1),
+            closed: AtomicBool::new(false),
+            workers: AtomicUsize::new(workers.max(1)),
         }
     }
 
-    /// Record how many workers drain the queue — the divisor of the
-    /// retry-after estimate.
-    pub fn set_workers(&self, workers: usize) {
-        self.workers.store(workers.max(1), Ordering::Relaxed);
+    /// Take one worker out of the drain (quarantine). Refuses, returning
+    /// `false`, for the last one: the queue always keeps a server.
+    pub fn retire_worker(&self) -> bool {
+        self.workers
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n > 1).then(|| n - 1)
+            })
+            .is_ok()
     }
 
-    /// Fold one completed job's wall service time into the EWMA that
-    /// backs the retry-after hint (weight 1/4 on the new sample — quick
-    /// to warm up, stable under bursts).
+    /// Workers still draining the queue.
+    pub fn workers(&self) -> usize {
+        self.workers.load(Ordering::Relaxed)
+    }
+
+    /// Fold one completed job's wall service time into the estimate
+    /// behind the retry-after hint.
     pub fn note_service(&self, service: Duration) {
         let ns = service.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let prev = self.service_ewma_ns.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            ns
-        } else {
-            prev - prev / 4 + ns / 4
-        };
-        self.service_ewma_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Estimated wall time until `depth` queued jobs drain one slot.
-    fn retry_after(&self, depth: usize) -> Duration {
-        let ewma = self.service_ewma_ns.load(Ordering::Relaxed);
-        let workers = self.workers.load(Ordering::Relaxed) as u64;
-        Duration::from_nanos(ewma.saturating_mul(depth as u64) / workers.max(1))
+        self.core.lock().unwrap().note_service(ns);
     }
 
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.core.lock().unwrap().capacity()
     }
 
     /// Jobs currently queued (excluding in-flight work on the devices).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
+        self.core.lock().unwrap().len()
     }
 
     /// Admit a job, or reject it when the bound is reached.
     pub fn push(&self, job: QueuedJob) -> Result<(), RuntimeError> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
+        let mut core = self.core.lock().unwrap();
+        if self.is_closed() {
             return Err(RuntimeError::ShuttingDown);
         }
-        if inner.len >= self.capacity {
+        if let Err(job) = core.push(job) {
             return Err(RuntimeError::Overloaded {
-                capacity: self.capacity,
-                depth: inner.len,
+                capacity: core.capacity(),
+                depth: core.len(),
                 priority: job.request.priority,
-                retry_after: self.retry_after(inner.len),
+                retry_after: Duration::from_nanos(core.retry_after(core.len(), self.workers())),
             });
         }
-        inner.classes[job.request.priority.index()].push_back(Entry { job, skips: 0 });
-        inner.len += 1;
-        drop(inner);
+        drop(core);
         self.not_empty.notify_one();
         Ok(())
     }
 
     /// Stop admissions; queued jobs still drain.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.closed.store(true, Ordering::SeqCst);
+        let _core = self.core.lock().unwrap();
         self.not_empty.notify_all();
     }
 
     /// Whether admissions have stopped.
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        self.closed.load(Ordering::SeqCst)
     }
 
     /// Put an accepted job back at the head of its priority class — the
@@ -150,29 +118,23 @@ impl JobQueue {
     /// (the job was already admitted) and works while the queue is
     /// closed (accepted work must still be answered).
     pub fn requeue(&self, job: QueuedJob) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.classes[job.request.priority.index()].push_front(Entry { job, skips: 0 });
-        inner.len += 1;
-        drop(inner);
+        self.core.lock().unwrap().push_front(job);
         self.not_empty.notify_all();
     }
 
-    /// Block until a job is available (or the queue is closed *and*
-    /// empty). `prefer`, when set and `batch_len` is still inside the
-    /// batch window, picks a nearby job for the already-loaded design —
-    /// the reconfiguration-aware policy. FIFO callers pass `None`.
-    pub fn pop(&self, pick: PickConfig, prefer: Option<&str>, batch_len: usize) -> Pop {
-        let mut inner = self.inner.lock().unwrap();
+    /// Block until a job is available, picked for a worker whose board
+    /// has `affinity`. `None` once the queue is closed *and* empty — the
+    /// worker should exit.
+    pub fn pop(&self, affinity: &Affinity) -> Option<QueuedJob> {
+        let mut core = self.core.lock().unwrap();
         loop {
-            if inner.len > 0 {
-                let entry = Self::take(&mut inner, pick, prefer, batch_len);
-                inner.len -= 1;
-                return Pop::Job(entry.job);
+            if let Some(job) = core.pick(affinity) {
+                return Some(job);
             }
-            if inner.closed {
-                return Pop::Drained;
+            if self.is_closed() {
+                return None;
             }
-            inner = self.not_empty.wait(inner).unwrap();
+            core = self.not_empty.wait(core).unwrap();
         }
     }
 
@@ -181,44 +143,7 @@ impl JobQueue {
     /// in-flight jobs must never block here — blocking with admitted
     /// work in the pipeline would deadlock a client that submitted a
     /// single job and is waiting on its completion.
-    pub fn try_pop(
-        &self,
-        pick: PickConfig,
-        prefer: Option<&str>,
-        batch_len: usize,
-    ) -> Option<QueuedJob> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.len == 0 {
-            return None;
-        }
-        let entry = Self::take(&mut inner, pick, prefer, batch_len);
-        inner.len -= 1;
-        Some(entry.job)
-    }
-
-    /// Pick from the urgent-most non-empty class (caller guarantees the
-    /// queue is non-empty).
-    fn take(inner: &mut Inner, pick: PickConfig, prefer: Option<&str>, batch_len: usize) -> Entry {
-        let class = inner
-            .classes
-            .iter_mut()
-            .find(|c| !c.is_empty())
-            .expect("pop on a non-empty queue");
-        if let Some(design) = prefer {
-            let head_aged = class.front().is_some_and(|e| e.skips >= pick.aging_limit);
-            if batch_len < pick.batch_window && !head_aged {
-                let j = class
-                    .iter()
-                    .take(pick.scan_depth)
-                    .position(|e| e.job.request.spec.kind.design_name() == design);
-                if let Some(j) = j {
-                    for e in class.iter_mut().take(j) {
-                        e.skips += 1;
-                    }
-                    return class.remove(j).expect("index in range");
-                }
-            }
-        }
-        class.pop_front().expect("class is non-empty")
+    pub fn try_pop(&self, affinity: &Affinity) -> Option<QueuedJob> {
+        self.core.lock().unwrap().pick(affinity)
     }
 }

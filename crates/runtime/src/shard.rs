@@ -8,14 +8,15 @@
 //! is one simulated host: a backplane of ACB+AIB board pairs (payload
 //! in and result out stream over the shard's own
 //! [`Aab`](atlantis_backplane::Aab) connections, per the paper's §2.3
-//! topology) plus the *same* scheduling semantics the threaded workers
-//! use — a bounded admission queue with three priority classes and the
-//! reconfiguration-aware pick (bounded look-ahead, bounded batch
-//! window, bounded skip aging), per-board
+//! topology) driving the same [`SchedCore`] the threaded workers share
+//! — the bounded three-class admission queue, the reconfiguration-aware
+//! pick (bounded look-ahead, bounded batch window, bounded skip aging)
+//! and the service estimate behind `retry_after` — plus per-board
 //! [`Coprocessor`](atlantis_core::Coprocessor) hardware task switching
 //! against the shared [`BitstreamCache`], and
 //! [`WorkloadContext`](atlantis_apps::jobs::WorkloadContext) execution
-//! for bit-exact outcomes.
+//! for bit-exact outcomes. What stays shard-side is the clock, idle-board
+//! placement and the steal helpers, which read the core's queue.
 //!
 //! Everything advances on an explicit discrete-event clock: `submit`
 //! admits (or sheds) at a virtual instant, `advance` retires
@@ -28,15 +29,13 @@
 use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::job::Priority;
+use crate::sched::{Affinity, PickConfig, SchedCore, Schedulable};
 use crate::stats::LogHistogram;
-use crate::worker::SchedPolicy;
 use atlantis_apps::jobs::{JobKind, JobSpec, WorkloadContext};
 use atlantis_backplane::{Aab, BackplaneKind, ConnectionId};
-use atlantis_core::coprocessor::TaskStats;
 use atlantis_core::Coprocessor;
 use atlantis_fabric::Device;
 use atlantis_simcore::{SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The reconfigurable fabric family a shard's boards are built from.
@@ -90,14 +89,11 @@ pub struct ShardConfig {
     /// The fabric family of every board on this shard. Heterogeneous
     /// *clusters* mix shards of different kinds; one shard is uniform.
     pub fabric: FabricKind,
-    /// Hard bound on queued (not yet running) jobs.
+    /// Hard bound on queued (not yet running) jobs (zero is clamped to
+    /// one, as in the threaded runtime).
     pub queue_capacity: usize,
-    /// The scheduling policy (same semantics as the threaded runtime).
-    pub policy: SchedPolicy,
-    /// Look-ahead distance of the reconfiguration-aware pick.
-    pub scan_depth: usize,
-    /// Starvation bound: a job skipped this many times is served next.
-    pub aging_limit: u32,
+    /// The reconfiguration-aware pick (the threaded runtime's).
+    pub pick: PickConfig,
 }
 
 impl Default for ShardConfig {
@@ -106,9 +102,7 @@ impl Default for ShardConfig {
             boards: 2,
             fabric: FabricKind::Orca,
             queue_capacity: 64,
-            policy: SchedPolicy::ReconfigAware { batch_window: 32 },
-            scan_depth: 64,
-            aging_limit: 8,
+            pick: PickConfig::default(),
         }
     }
 }
@@ -250,26 +244,40 @@ impl ShardStats {
 struct Board {
     coproc: Coprocessor,
     conn: ConnectionId,
-    /// The design currently on the fabric (mirrors
-    /// `coproc.current_task()` without the borrow).
-    loaded: Option<JobKind>,
-    /// Consecutive same-design jobs — the batching window's counter.
-    batch_len: usize,
+    /// The design on the fabric and its batch length, as the pick sees
+    /// them.
+    affinity: Affinity,
     free_at: SimTime,
     in_flight: Option<ShardCompletion>,
     quarantined: bool,
 }
 
+impl Board {
+    /// Whether the board can take a job at `t`.
+    fn idle(&self, t: SimTime) -> bool {
+        !self.quarantined && self.in_flight.is_none() && self.free_at <= t
+    }
+}
+
 #[derive(Debug)]
-struct QueueEntry {
+struct ShardEntry {
     job: ShardJob,
     submitted: SimTime,
-    skips: u32,
     /// When the job's payload is resident on this host. `SimTime::ZERO`
     /// for locally admitted work; stolen jobs carry the instant their
     /// cross-shard hop transfer lands, and a board that picks one up
     /// earlier waits for the data (charged as DMA time).
     ready_at: SimTime,
+}
+
+impl Schedulable for ShardEntry {
+    fn priority(&self) -> Priority {
+        self.job.priority
+    }
+
+    fn kind(&self) -> JobKind {
+        self.job.spec.kind
+    }
 }
 
 /// A job lifted out of a donor shard's queue by the cluster's work
@@ -293,13 +301,12 @@ pub struct ShardScheduler {
     /// (work stealing): slots `2·boards` and `2·boards + 1`. Idle unless
     /// the cluster steals, so it never perturbs board-pair transfers.
     hop_conn: ConnectionId,
-    classes: [VecDeque<QueueEntry>; Priority::CLASSES],
-    queued: usize,
+    /// The admission queue, pick and service estimate (virtual
+    /// picoseconds).
+    core: SchedCore<ShardEntry>,
     cache: Arc<BitstreamCache>,
     ctx: WorkloadContext,
     stats: ShardStats,
-    /// EWMA of per-job virtual service time, integer picoseconds.
-    service_ewma_ps: u64,
     /// Full configuration time of this shard's fabric — the breakeven
     /// fallback before any task switch has been measured.
     full_config: SimDuration,
@@ -326,8 +333,7 @@ impl ShardScheduler {
             boards.push(Board {
                 coproc: Coprocessor::new(device.clone()),
                 conn,
-                loaded: None,
-                batch_len: 0,
+                affinity: Affinity::default(),
                 free_at: SimTime::ZERO,
                 in_flight: None,
                 quarantined: false,
@@ -345,12 +351,10 @@ impl ShardScheduler {
             boards,
             aab,
             hop_conn,
-            classes: Default::default(),
-            queued: 0,
+            core: SchedCore::new(cfg.queue_capacity, cfg.pick),
             cache,
             ctx: WorkloadContext::new(),
             stats,
-            service_ewma_ps: 0,
             full_config: device.full_config_time(),
         })
     }
@@ -359,24 +363,22 @@ impl ShardScheduler {
     /// bound is reached. Admission immediately back-fills any idle
     /// board.
     pub fn submit(&mut self, now: SimTime, job: ShardJob) -> Result<(), ShardReject> {
-        if self.queued >= self.cfg.queue_capacity {
+        let entry = ShardEntry {
+            job,
+            submitted: now,
+            ready_at: SimTime::ZERO,
+        };
+        if self.core.push(entry).is_err() {
             self.stats.rejected += 1;
             self.stats.rejected_by_class[job.priority.index()] += 1;
             return Err(ShardReject {
-                capacity: self.cfg.queue_capacity,
-                depth: self.queued,
+                capacity: self.core.capacity(),
+                depth: self.core.len(),
                 priority: job.priority,
-                retry_after: self.retry_after(self.queued),
+                retry_after: self.retry_after(self.core.len()),
             });
         }
         self.stats.submitted += 1;
-        self.classes[job.priority.index()].push_back(QueueEntry {
-            job,
-            submitted: now,
-            skips: 0,
-            ready_at: SimTime::ZERO,
-        });
-        self.queued += 1;
         self.schedule(now);
         Ok(())
     }
@@ -389,16 +391,14 @@ impl ShardScheduler {
     /// the donor already did, and the cluster's steal ledger reconciles
     /// the transfer. Returns `false` (job untouched) on a full queue.
     pub fn submit_stolen(&mut self, now: SimTime, stolen: StolenJob, ready_at: SimTime) -> bool {
-        if self.queued >= self.cfg.queue_capacity {
-            return false;
-        }
-        self.classes[stolen.job.priority.index()].push_back(QueueEntry {
+        let entry = ShardEntry {
             job: stolen.job,
             submitted: stolen.submitted,
-            skips: 0,
             ready_at,
-        });
-        self.queued += 1;
+        };
+        if self.core.push(entry).is_err() {
+            return false;
+        }
         self.schedule(now);
         true
     }
@@ -409,45 +409,27 @@ impl ShardScheduler {
     /// work is never stolen. Queue-bound accounting moves with them;
     /// admission stats stay (the jobs were genuinely admitted here).
     pub fn steal_queued(&mut self, kind: JobKind, max: usize) -> Vec<StolenJob> {
-        let mut out = Vec::new();
-        for class in self.classes.iter_mut().rev() {
-            if out.len() >= max {
-                break;
-            }
-            let mut i = class.len();
-            while i > 0 && out.len() < max {
-                i -= 1;
-                if class[i].job.spec.kind == kind {
-                    let e = class.remove(i).expect("index in range");
-                    self.queued -= 1;
-                    out.push(StolenJob {
-                        job: e.job,
-                        submitted: e.submitted,
-                    });
-                }
-            }
-        }
-        out
+        self.core
+            .take_newest(max, |e| e.job.spec.kind == kind)
+            .into_iter()
+            .map(|e| StolenJob {
+                job: e.job,
+                submitted: e.submitted,
+            })
+            .collect()
     }
 
     /// `(jobs, payload bytes)` of up to `max` queued jobs of `kind`, in
     /// the order [`steal_queued`](Self::steal_queued) would take them —
     /// the thief's cost estimate before committing to a steal.
     pub fn queued_backlog(&self, kind: JobKind, max: usize) -> (usize, u64) {
-        let mut n = 0usize;
-        let mut bytes = 0u64;
-        for class in self.classes.iter().rev() {
-            for e in class.iter().rev() {
-                if n >= max {
-                    return (n, bytes);
-                }
-                if e.job.spec.kind == kind {
-                    n += 1;
-                    bytes += e.job.spec.payload_bytes();
-                }
-            }
-        }
-        (n, bytes)
+        self.core
+            .iter_newest()
+            .filter(|e| e.job.spec.kind == kind)
+            .take(max)
+            .fold((0, 0), |(n, bytes), e| {
+                (n + 1, bytes + e.job.spec.payload_bytes())
+            })
     }
 
     /// The workload kind with the most queued jobs (ties to
@@ -455,10 +437,8 @@ impl ShardScheduler {
     /// answer to "what is worth a design switch to take".
     pub fn dominant_queued_kind(&self) -> Option<JobKind> {
         let mut counts = [0usize; JobKind::COUNT];
-        for class in &self.classes {
-            for e in class {
-                counts[e.job.spec.kind.index()] += 1;
-            }
+        for e in self.core.iter_newest() {
+            counts[e.job.spec.kind.index()] += 1;
         }
         JobKind::ALL
             .iter()
@@ -470,9 +450,7 @@ impl ShardScheduler {
     /// Whether any non-quarantined board is idle at `t` — the thief-side
     /// precondition of a steal.
     pub fn has_idle_board(&self, t: SimTime) -> bool {
-        self.boards
-            .iter()
-            .any(|b| !b.quarantined && b.in_flight.is_none() && b.free_at <= t)
+        self.boards.iter().any(|b| b.idle(t))
     }
 
     /// Designs resident on idle boards at `t`, in board order — what a
@@ -480,8 +458,8 @@ impl ShardScheduler {
     pub fn idle_resident_kinds(&self, t: SimTime) -> Vec<JobKind> {
         self.boards
             .iter()
-            .filter(|b| !b.quarantined && b.in_flight.is_none() && b.free_at <= t)
-            .filter_map(|b| b.loaded)
+            .filter(|b| b.idle(t))
+            .filter_map(|b| b.affinity.loaded)
             .collect()
     }
 
@@ -506,7 +484,7 @@ impl ShardScheduler {
     /// The calibrated mean service time (zero until the first
     /// completion) — the per-job term of the steal benefit estimate.
     pub fn service_ewma(&self) -> SimDuration {
-        SimDuration::from_picos(self.service_ewma_ps)
+        SimDuration::from_picos(self.core.service_ewma())
     }
 
     /// Virtual time to move `bytes` over the shard's reserved cluster-hop
@@ -533,8 +511,7 @@ impl ShardScheduler {
 
     /// Estimated virtual time until `depth` queued jobs free one slot.
     pub fn retry_after(&self, depth: usize) -> SimDuration {
-        let boards = self.active_boards().max(1) as u64;
-        SimDuration::from_picos(self.service_ewma_ps.saturating_mul(depth as u64) / boards)
+        SimDuration::from_picos(self.core.retry_after(depth, self.active_boards()))
     }
 
     /// Retire every completion at or before `now` (cascading freed
@@ -593,7 +570,7 @@ impl ShardScheduler {
         }
         let _ = self.switch_board(board, kind);
         // The serving batch window starts fresh.
-        self.boards[board].batch_len = 0;
+        self.boards[board].affinity.batch_len = 0;
         true
     }
 
@@ -632,12 +609,12 @@ impl ShardScheduler {
 
     /// Jobs queued (excluding in-flight work).
     pub fn queue_depth(&self) -> usize {
-        self.queued
+        self.core.len()
     }
 
     /// The admission bound.
     pub fn queue_capacity(&self) -> usize {
-        self.cfg.queue_capacity
+        self.core.capacity()
     }
 
     /// Jobs currently executing on boards.
@@ -648,7 +625,7 @@ impl ShardScheduler {
     /// Outstanding work (queued + in flight) per active board — the
     /// load metric the router's spill decision compares.
     pub fn load(&self) -> f64 {
-        (self.queued + self.in_flight()) as f64 / self.active_boards().max(1) as f64
+        (self.core.len() + self.in_flight()) as f64 / self.active_boards().max(1) as f64
     }
 
     /// The shard's deterministic counters.
@@ -666,22 +643,14 @@ impl ShardScheduler {
     fn note_completion(&mut self, fin: &ShardCompletion) {
         let s = &mut self.stats;
         s.completed += 1;
-        s.per_kind[JobKind::ALL
-            .iter()
-            .position(|&k| k == fin.spec.kind)
-            .expect("kind is one of ALL")] += 1;
+        s.per_kind[fin.spec.kind.index()] += 1;
         if !fin.switched {
             s.affinity_hits += 1;
         }
         s.latency.record_virtual(fin.latency());
         s.queue_wait.record_virtual(fin.queue_wait());
         s.last_done = s.last_done.max(fin.done);
-        let v = fin.service().as_picos();
-        self.service_ewma_ps = if self.service_ewma_ps == 0 {
-            v
-        } else {
-            self.service_ewma_ps - self.service_ewma_ps / 4 + v / 4
-        };
+        self.core.note_service(fin.service().as_picos());
     }
 
     /// Back-fill every board idle at `t` from the queue. Among idle
@@ -690,73 +659,29 @@ impl ShardScheduler {
     /// side instead of ping-ponging); otherwise lowest index. Jobs are
     /// then chosen by the priority-classed affinity pick.
     fn schedule(&mut self, t: SimTime) {
-        loop {
-            if self.queued == 0 {
-                break;
-            }
-            let idle = |b: &Board| !b.quarantined && b.in_flight.is_none() && b.free_at <= t;
-            let Some(first) = self.boards.iter().position(idle) else {
+        while let Some(head) = self.core.head() {
+            let head_kind = head.job.spec.kind;
+            let Some(first) = self.boards.iter().position(|b| b.idle(t)) else {
                 break;
             };
-            let head_kind = self
-                .classes
-                .iter()
-                .find_map(|c| c.front())
-                .expect("queued > 0")
-                .job
-                .spec
-                .kind;
             let bi = self
                 .boards
                 .iter()
-                .position(|b| idle(b) && b.loaded == Some(head_kind))
+                .position(|b| b.idle(t) && b.affinity.loaded == Some(head_kind))
                 .unwrap_or(first);
-            let entry = self.pick(bi);
+            let entry = self
+                .core
+                .pick(&self.boards[bi].affinity)
+                .expect("the queue has a head");
             self.start(bi, t, entry);
         }
-    }
-
-    /// The threaded queue's pick, per board: urgent-most non-empty
-    /// class; within it, prefer the board's loaded design inside the
-    /// scan window unless the batch window closed or the head aged out.
-    fn pick(&mut self, bi: usize) -> QueueEntry {
-        let board = &self.boards[bi];
-        let batch_window = match self.cfg.policy {
-            SchedPolicy::Fifo => 0,
-            SchedPolicy::ReconfigAware { batch_window } => batch_window,
-        };
-        let prefer = board.loaded.filter(|_| board.batch_len < batch_window);
-        let class = self
-            .classes
-            .iter_mut()
-            .find(|c| !c.is_empty())
-            .expect("pick on a non-empty queue");
-        self.queued -= 1;
-        if let Some(kind) = prefer {
-            let head_aged = class
-                .front()
-                .is_some_and(|e| e.skips >= self.cfg.aging_limit);
-            if !head_aged {
-                let j = class
-                    .iter()
-                    .take(self.cfg.scan_depth)
-                    .position(|e| e.job.spec.kind == kind);
-                if let Some(j) = j {
-                    for e in class.iter_mut().take(j) {
-                        e.skips += 1;
-                    }
-                    return class.remove(j).expect("index in range");
-                }
-            }
-        }
-        class.pop_front().expect("class is non-empty")
     }
 
     /// Serve `entry` on board `bi` starting at `t`: payload DMA over
     /// the pair's backplane connection, hardware task switch, execute,
     /// result DMA back. The board is occupied for the serial sum — the
     /// shard engine models the paper's base (un-pipelined) serving path.
-    fn start(&mut self, bi: usize, t: SimTime, entry: QueueEntry) {
+    fn start(&mut self, bi: usize, t: SimTime, entry: ShardEntry) {
         let spec = entry.job.spec;
         // A stolen job whose payload is still in flight over the hop
         // link stalls the board until it lands; the wait is charged as
@@ -807,36 +732,19 @@ impl ShardScheduler {
         });
     }
 
-    /// Switch board `bi` to `kind`'s design (registering the shared
-    /// cached fit on first use) and fold the task-stats delta into the
-    /// shard counters. Mirrors the threaded worker's `switch_design`.
+    /// Switch board `bi` to `kind`'s design through the shared cache
+    /// and fold the task-stats delta into the shard counters.
     fn switch_board(&mut self, bi: usize, kind: JobKind) -> (SimDuration, bool) {
-        let name = kind.design_name();
-        if !self.boards[bi].coproc.has_task(name) {
-            let fitted = self
-                .cache
-                .get(kind)
-                .expect("workload designs are prefit for the shard's device family");
-            self.boards[bi]
-                .coproc
-                .register_fitted(name, (*fitted).clone())
-                .expect("cache fits match the board device");
-        }
         let board = &mut self.boards[bi];
-        let before: TaskStats = board.coproc.stats();
-        let reconfig = board
-            .coproc
-            .switch_to(name)
-            .map_err(RuntimeError::from)
-            .expect("registered task switches cleanly");
-        let after = board.coproc.stats();
-        let switched = reconfig > SimDuration::ZERO;
-        board.loaded = Some(kind);
-        board.batch_len = if switched { 1 } else { board.batch_len + 1 };
-        let s = &mut self.stats;
-        s.full_loads += after.full_loads - before.full_loads;
-        s.partial_switches += after.partial_switches - before.partial_switches;
-        (reconfig, switched)
+        let delta = self
+            .cache
+            .switch(&mut board.coproc, kind)
+            .expect("workload designs are prefit for the shard's device family");
+        let switched = delta.reconfig_time > SimDuration::ZERO;
+        board.affinity.note_load(kind, switched);
+        self.stats.full_loads += delta.full_loads;
+        self.stats.partial_switches += delta.partial_switches;
+        (delta.reconfig_time, switched)
     }
 }
 
@@ -951,16 +859,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_capacity_is_clamped_to_one_like_the_threaded_queue() {
+        let mut s = shard(1, 0);
+        assert_eq!(s.queue_capacity(), 1);
+        s.submit(SimTime::ZERO, job(0, JobSpec::trt(0))).unwrap();
+        let fins = s.drain();
+        assert_eq!(fins.len(), 1);
+        assert_eq!(s.stats().rejected, 0);
+    }
+
+    #[test]
     fn affinity_batching_beats_fifo_on_switches() {
         let mix: Vec<_> = (0..40).map(JobSpec::mixed).collect();
-        let run = |policy| {
+        let run = |pick| {
             let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
             cache.prefit_all().unwrap();
             let mut s = ShardScheduler::new(
                 ShardConfig {
                     boards: 1,
                     queue_capacity: 64,
-                    policy,
+                    pick,
                     ..ShardConfig::default()
                 },
                 cache,
@@ -972,8 +890,8 @@ mod tests {
             s.drain();
             s.stats().clone()
         };
-        let fifo = run(SchedPolicy::Fifo);
-        let aware = run(SchedPolicy::ReconfigAware { batch_window: 32 });
+        let fifo = run(PickConfig::fifo());
+        let aware = run(PickConfig::default());
         assert!(
             aware.full_loads + aware.partial_switches < fifo.full_loads + fifo.partial_switches,
             "affinity pick must reduce switches: {} vs {}",

@@ -33,35 +33,17 @@ use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
 use crate::guard::{GuardConfig, GuardState};
 use crate::job::{JobResult, JobTimings, QueuedJob};
-use crate::queue::{JobQueue, PickConfig, Pop};
+use crate::queue::JobQueue;
+use crate::sched::Affinity;
 use crate::stats::{LatencyHistogram, LogHistogram};
-use atlantis_apps::jobs::{JobKind, JobOutcome, JobSpec, WorkloadContext};
+use atlantis_apps::jobs::{JobOutcome, JobSpec, WorkloadContext};
 use atlantis_board::{Acb, SlotHalf};
-use atlantis_core::coprocessor::TaskStats;
 use atlantis_core::Coprocessor;
 use atlantis_fabric::Device;
 use atlantis_pci::{DmaChannel, Driver};
 use atlantis_simcore::SimDuration;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The scheduling policy workers follow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Strict arrival order within each priority class. Every change of
-    /// workload kind pays a reconfiguration.
-    Fifo,
-    /// Prefer jobs for the design already loaded on the device, looking
-    /// a bounded distance into the queue, for at most `batch_window`
-    /// consecutive jobs (and never past a job that has already been
-    /// skipped `aging_limit` times). Amortises configuration cost across
-    /// batches — the paper's hardware-task-switch economics.
-    ReconfigAware {
-        /// Max consecutive same-design jobs before the device must take
-        /// the queue head regardless of design.
-        batch_window: usize,
-    },
-}
 
 /// Aggregated counters all workers write and `Runtime::stats` reads.
 #[derive(Debug, Default)]
@@ -92,8 +74,6 @@ pub(crate) struct SharedStats {
     pub scalar_passes: u64,
     /// Jobs retired through laned passes.
     pub laned_jobs: u64,
-    /// Workers still serving (quarantine decrements; never below 1).
-    pub active_workers: usize,
     pub upsets_injected: u64,
     pub upsets_stealthy: u64,
     pub corrupt_executes: u64,
@@ -119,7 +99,6 @@ impl SharedStats {
             device_busy: vec![SimDuration::ZERO; devices],
             device_scrub_frames: vec![0; devices],
             latency: LatencyHistogram::new(),
-            active_workers: devices,
             ..Default::default()
         }
     }
@@ -160,14 +139,13 @@ pub(crate) struct Worker {
     pub ctx: WorkloadContext,
     pub queue: Arc<JobQueue>,
     pub cache: Arc<BitstreamCache>,
-    pub policy: SchedPolicy,
-    pub pick: PickConfig,
     pub shared: Arc<Mutex<SharedStats>>,
     pool: Arc<BufferPool>,
     pipeline: bool,
     /// Max same-design jobs one execute pass gathers (1 = no gathering).
     lanes: usize,
-    batch_len: usize,
+    /// The loaded design and its batch length, as the pick sees them.
+    affinity: Affinity,
     /// Serial mode: next whole job slot.
     slot: usize,
     /// Pipelined mode: next slot *half* in the ping/pong rotation.
@@ -193,8 +171,6 @@ impl Worker {
         driver: Driver<Acb>,
         queue: Arc<JobQueue>,
         cache: Arc<BitstreamCache>,
-        policy: SchedPolicy,
-        pick: PickConfig,
         shared: Arc<Mutex<SharedStats>>,
         pool: Arc<BufferPool>,
         pipeline: bool,
@@ -208,13 +184,11 @@ impl Worker {
             ctx: WorkloadContext::new(),
             queue,
             cache,
-            policy,
-            pick,
             shared,
             pool,
             pipeline,
             lanes: lanes.max(1),
-            batch_len: 0,
+            affinity: Affinity::default(),
             slot: 0,
             seq: 0,
             staged: None,
@@ -252,20 +226,13 @@ impl Worker {
                 self.dispatch(job);
                 continue;
             }
-            let prefer = match self.policy {
-                SchedPolicy::Fifo => None,
-                SchedPolicy::ReconfigAware { .. } => self.coproc.current_task().map(str::to_owned),
-            };
             if self.pipeline_empty() {
-                match self.queue.pop(self.pick, prefer.as_deref(), self.batch_len) {
-                    Pop::Job(job) => self.dispatch(job),
-                    Pop::Drained => break,
-                }
+                let Some(job) = self.queue.pop(&self.affinity) else {
+                    break;
+                };
+                self.dispatch(job);
             } else {
-                match self
-                    .queue
-                    .try_pop(self.pick, prefer.as_deref(), self.batch_len)
-                {
+                match self.queue.try_pop(&self.affinity) {
                     Some(job) => self.dispatch(job),
                     None => self.advance(None),
                 }
@@ -318,18 +285,19 @@ impl Worker {
         if self.lanes <= 1 {
             return batch;
         }
-        let design = batch[0].request.spec.kind.design_name();
-        let base = if self.coproc.current_task() == Some(design) {
-            self.batch_len
+        let kind = batch[0].request.spec.kind;
+        let base = if self.affinity.loaded == Some(kind) {
+            self.affinity.batch_len
         } else {
             0
         };
         while batch.len() < self.lanes {
-            match self
-                .queue
-                .try_pop(self.pick, Some(design), base + batch.len())
-            {
-                Some(job) if job.request.spec.kind.design_name() == design => batch.push(job),
+            let gathering = Affinity {
+                loaded: Some(kind),
+                batch_len: base + batch.len(),
+            };
+            match self.queue.try_pop(&gathering) {
+                Some(job) if job.request.spec.kind == kind => batch.push(job),
                 Some(job) => {
                     self.carry = Some(job);
                     break;
@@ -352,19 +320,14 @@ impl Worker {
         // not inflate the reported wait.
         let queue_wait = job.submitted.elapsed();
         let spec = job.request.spec;
-        if self.coproc.current_task() != Some(spec.kind.design_name()) && !self.pipeline_empty() {
+        if self.affinity.loaded != Some(spec.kind) && !self.pipeline_empty() {
             self.drain_pipeline();
         }
 
         // Reconfiguration cannot overlap the pipeline (the fabric is
         // being rewritten), so it occupies the device serially.
-        let (reconfig, switched) = match self.switch_design(spec.kind, true) {
-            Ok(r) => r,
-            Err(e) => {
-                self.shared.lock().unwrap().failed += 1;
-                let _ = job.reply.send(Err(e));
-                return;
-            }
+        let Some((reconfig, switched)) = self.switch_design(&job, true) else {
+            return;
         };
 
         self.advance(Some(Admitted {
@@ -468,12 +431,7 @@ impl Worker {
         let dirty = self.guard_post();
         if let Some(ex) = finishing {
             if dirty {
-                {
-                    let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += ex.dma_in + ex.outcome.compute;
-                }
-                self.requeue_or_fail(ex.job);
+                self.retry_detected(ex.job, ex.dma_in + ex.outcome.compute);
             } else {
                 self.complete(ex, t_out);
             }
@@ -532,24 +490,30 @@ impl Worker {
             cycles: st.outcome.cycles,
             timings,
         };
+        self.answer(st.job, result, st.corrupt);
+    }
+
+    /// Answer `job` with `result` and fold it into the completion
+    /// counters and the service estimate behind the retry-after hint.
+    /// `corrupt` is ground truth the policy failed to catch: a corrupt
+    /// result reached the client.
+    fn answer(&self, job: QueuedJob, result: JobResult, corrupt: bool) {
+        let t = result.timings;
         {
             let mut s = self.shared.lock().unwrap();
             s.completed += 1;
-            s.per_kind[Self::kind_index(spec.kind)] += 1;
-            s.latency.record(timings.wall);
-            s.virt_latency.record_virtual(timings.total_virtual());
-            // Ground truth the policy failed to catch: a corrupt result
-            // reached the client.
-            if st.corrupt {
+            s.per_kind[result.spec.kind.index()] += 1;
+            s.latency.record(t.wall);
+            s.virt_latency.record_virtual(t.total_virtual());
+            if corrupt {
                 s.silent_corruptions += 1;
             }
         }
         // Service time excludes queue wait: the retry-after estimate
         // must reflect drain rate, not current congestion.
-        self.queue
-            .note_service(timings.wall.saturating_sub(st.queue_wait));
+        self.queue.note_service(t.wall.saturating_sub(t.queue_wait));
         // A client that dropped its handle just doesn't read the result.
-        let _ = st.job.reply.send(Ok(result));
+        let _ = job.reply.send(Ok(result));
     }
 
     // ---- serial path ---------------------------------------------------
@@ -577,13 +541,8 @@ impl Worker {
         // Hardware task switch (cached bitstream, partial reconfig).
         // `charge_busy` is false: the serial path bills the device the
         // job's whole virtual total below, reconfiguration included.
-        let (reconfig, switched) = match self.switch_design(spec.kind, false) {
-            Ok(r) => r,
-            Err(e) => {
-                self.shared.lock().unwrap().failed += 1;
-                let _ = job.reply.send(Err(e));
-                return;
-            }
+        let Some((reconfig, switched)) = self.switch_design(&job, false) else {
+            return;
         };
 
         // Execute, then read the result back into a pooled buffer.
@@ -634,66 +593,51 @@ impl Worker {
             self.guard.beats += 1;
             let (dirty, _) = self.guard_scan(Some((spec, outcome.checksum)));
             if dirty {
-                {
-                    let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += dma + outcome.compute;
-                }
-                self.requeue_or_fail(job);
+                self.retry_detected(job, dma + outcome.compute);
                 return;
             }
         }
 
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.completed += 1;
-            s.per_kind[Self::kind_index(spec.kind)] += 1;
-            s.latency.record(timings.wall);
-            s.virt_latency.record_virtual(timings.total_virtual());
-            if corrupt {
-                s.silent_corruptions += 1;
-            }
-        }
-        self.queue
-            .note_service(timings.wall.saturating_sub(queue_wait));
-
-        // A client that dropped its handle just doesn't read the result.
-        let _ = job.reply.send(Ok(result));
+        self.answer(job, result, corrupt);
     }
 
     // ---- shared helpers ------------------------------------------------
 
-    /// Switch the device to `kind`'s design and fold the resulting
+    /// Switch the device to `job`'s design and fold the resulting
     /// task-stats delta (full loads, partial switches, frames,
     /// reconfiguration time) into the shared counters — the one place
     /// reconfiguration accounting lives for both serving paths. Returns
     /// the reconfiguration time and whether a switch actually happened,
-    /// and updates the same-design batch length the scheduler's batching
-    /// window watches. `charge_busy` additionally bills the
-    /// reconfiguration to the device (the pipelined path; the serial
-    /// path folds it into the job's virtual total instead).
-    fn switch_design(
-        &mut self,
-        kind: JobKind,
-        charge_busy: bool,
-    ) -> Result<(SimDuration, bool), RuntimeError> {
-        let before: TaskStats = self.coproc.stats();
-        let reconfig = self.load_task(kind)?;
+    /// and updates the affinity the pick's batching window watches; on
+    /// failure the job is answered with the error and `None` returned.
+    /// `charge_busy` additionally bills the reconfiguration to the
+    /// device (the pipelined path; the serial path folds it into the
+    /// job's virtual total instead).
+    fn switch_design(&mut self, job: &QueuedJob, charge_busy: bool) -> Option<(SimDuration, bool)> {
+        let kind = job.request.spec.kind;
+        let delta = match self.cache.switch(&mut self.coproc, kind) {
+            Ok(delta) => delta,
+            Err(e) => {
+                self.shared.lock().unwrap().failed += 1;
+                let _ = job.reply.send(Err(e));
+                return None;
+            }
+        };
+        let reconfig = delta.reconfig_time;
         let switched = reconfig > SimDuration::ZERO;
-        self.batch_len = if switched { 1 } else { self.batch_len + 1 };
+        self.affinity.note_load(kind, switched);
         if switched {
             // A (partial) reconfiguration rewrites every differing and
             // corrupted frame, healing pending upsets as a side effect;
             // mirror the fabric tracker, which the config port cleared.
             self.guard.pending.clear();
         }
-        let after = self.coproc.stats();
         {
             let mut s = self.shared.lock().unwrap();
-            s.full_loads += after.full_loads - before.full_loads;
-            s.partial_switches += after.partial_switches - before.partial_switches;
-            s.frames_written += after.frames_written - before.frames_written;
-            s.reconfig_time += after.reconfig_time - before.reconfig_time;
+            s.full_loads += delta.full_loads;
+            s.partial_switches += delta.partial_switches;
+            s.frames_written += delta.frames_written;
+            s.reconfig_time += reconfig;
             if charge_busy {
                 s.device_busy[self.device_index] += reconfig;
             }
@@ -701,7 +645,7 @@ impl Worker {
         if charge_busy {
             self.vclock += reconfig;
         }
-        Ok((reconfig, switched))
+        Some((reconfig, switched))
     }
 
     // ---- reliability (atlantis-guard) ----------------------------------
@@ -763,12 +707,7 @@ impl Worker {
         let (dirty, suspect) = self.guard_scan(executed);
         if suspect {
             if let Some(ex) = self.executed.take() {
-                {
-                    let mut s = self.shared.lock().unwrap();
-                    s.detected_corruptions += 1;
-                    s.wasted_time += ex.dma_in + ex.outcome.compute;
-                }
-                self.requeue_or_fail(ex.job);
+                self.retry_detected(ex.job, ex.dma_in + ex.outcome.compute);
             }
         }
         dirty
@@ -898,14 +837,24 @@ impl Worker {
             s.device_busy[self.device_index] += check_cost + scrub_cost;
             s.detection_latency += latency;
             s.detected_upsets += settled;
-            if wants_quarantine && s.active_workers > 1 {
-                s.active_workers -= 1;
+            if wants_quarantine && self.queue.retire_worker() {
                 s.quarantined_devices += 1;
                 self.guard.quarantined = true;
                 self.guard.consecutive_dirty = 0;
             }
         }
         (dirty, suspect)
+    }
+
+    /// Count a detected corruption of `job`'s execution, charge the
+    /// `wasted` virtual time, and retry it.
+    fn retry_detected(&mut self, job: QueuedJob, wasted: SimDuration) {
+        {
+            let mut s = self.shared.lock().unwrap();
+            s.detected_corruptions += 1;
+            s.wasted_time += wasted;
+        }
+        self.requeue_or_fail(job);
     }
 
     /// Hand a suspect job back for a clean re-execution, honouring the
@@ -948,26 +897,5 @@ impl Worker {
         for job in jobs.into_iter().flatten() {
             self.requeue_or_fail(job);
         }
-    }
-
-    fn kind_index(kind: JobKind) -> usize {
-        JobKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind is one of ALL")
-    }
-
-    /// Make sure the workload's design is in this device's task library
-    /// (installing the shared cached fit on first use), then switch.
-    fn load_task(&mut self, kind: JobKind) -> Result<SimDuration, RuntimeError> {
-        let name = kind.design_name();
-        if !self.coproc.has_task(name) {
-            let fitted = self
-                .cache
-                .get(kind)
-                .map_err(|e| RuntimeError::Task(atlantis_core::coprocessor::TaskError::Fit(e)))?;
-            self.coproc.register_fitted(name, (*fitted).clone())?;
-        }
-        Ok(self.coproc.switch_to(name)?)
     }
 }
