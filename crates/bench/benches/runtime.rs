@@ -3,15 +3,15 @@
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{JobRequest, PickConfig, Runtime, RuntimeConfig};
+use atlantis_runtime::{JobRequest, PickConfig, Runtime, ShardConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn serve_batch(pick: PickConfig, jobs: u64) -> u64 {
     let system = AtlantisSystem::builder().with_acbs(2).build();
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         pick,
         queue_capacity: jobs as usize + 1,
-        ..RuntimeConfig::default()
+        ..ShardConfig::host()
     };
     let rt = Runtime::serve(system, config).expect("serve");
     let handles: Vec<_> = (0..jobs)

@@ -30,11 +30,11 @@ fn row(t: &mut Table, label: &str, p: &PointReport) {
     t.row(&[
         label.to_string(),
         format!("{:.0}", p.upset_rate),
-        s.upsets_injected.to_string(),
-        s.detected_corruptions.to_string(),
-        s.silent_corruptions.to_string(),
+        s.guard.upsets_injected.to_string(),
+        s.guard.detected_corruptions.to_string(),
+        s.guard.silent_corruptions.to_string(),
         p.mismatches.to_string(),
-        s.retries.to_string(),
+        s.guard.retries.to_string(),
         p.faulted.to_string(),
         f(s.availability() * 100.0, 1),
         f(s.scrub_overhead() * 100.0, 1),
@@ -78,7 +78,10 @@ fn main() -> std::process::ExitCode {
     let mut c = Checker::new();
 
     // The headline reliability guarantee, parsed from the JSON by CI.
-    let silent: u64 = protected.iter().map(|p| p.stats.silent_corruptions).sum();
+    let silent: u64 = protected
+        .iter()
+        .map(|p| p.stats.guard.silent_corruptions)
+        .sum();
     let mismatches: u64 = protected.iter().map(|p| p.mismatches).sum();
     c.check_band(
         "silent corruptions at the default scrub interval",
@@ -104,7 +107,7 @@ fn main() -> std::process::ExitCode {
     let clean = &protected[0];
     c.check(
         "fault-free point injects and detects nothing",
-        clean.stats.upsets_injected == 0 && clean.stats.detected_corruptions == 0,
+        clean.stats.guard.upsets_injected == 0 && clean.stats.guard.detected_corruptions == 0,
     );
     c.check_band(
         "fault-free availability under the standing check cost",
@@ -117,7 +120,7 @@ fn main() -> std::process::ExitCode {
     let hot = protected.last().expect("non-empty sweep");
     c.check(
         "the hottest point injects and detects upsets",
-        hot.stats.upsets_injected > 0 && hot.stats.detected_upsets > 0,
+        hot.stats.guard.upsets_injected > 0 && hot.stats.guard.detected_upsets > 0,
     );
     c.check(
         "detection latency is measured at the hottest point",
@@ -140,11 +143,11 @@ fn main() -> std::process::ExitCode {
     // its clients — proof the campaign stresses something real.
     c.check(
         "unprotected control run returns corrupt results",
-        unprotected.stats.silent_corruptions > 0 && unprotected.mismatches > 0,
+        unprotected.stats.guard.silent_corruptions > 0 && unprotected.mismatches > 0,
     );
     c.check(
         "unprotected corruption is exactly what the oracle audit sees",
-        unprotected.mismatches == unprotected.stats.silent_corruptions,
+        unprotected.mismatches == unprotected.stats.guard.silent_corruptions,
     );
 
     atlantis_bench::conclude("guard", c)

@@ -7,7 +7,8 @@
 //! previous job's result out *concurrently*. This table measures what
 //! that buys at the serving layer: the same mixed multi-tenant workload
 //! served (a) end to end per job and (b) through the three-stage
-//! software pipeline over ping/pong job-slot halves. Both runs must
+//! software pipeline over ping/pong job-slot halves, with the tenants'
+//! streams submitted in one deterministic sequence. Both runs must
 //! produce bit-identical results; the pipelined run must finish in
 //! materially less virtual machine time, and its overlap-efficiency and
 //! latency-percentile counters must be live.
@@ -15,8 +16,7 @@
 use atlantis_apps::jobs::JobSpec;
 use atlantis_bench::{f, Checker, Table};
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{JobRequest, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
-use std::sync::Arc;
+use atlantis_runtime::{Beat, JobRequest, Runtime, RuntimeError, ShardConfig, ShardStats};
 
 const CLIENTS: u32 = 8;
 const JOBS_PER_CLIENT: u64 = 150;
@@ -39,14 +39,19 @@ fn heavy_mixed(i: u64) -> JobSpec {
 }
 
 struct RunOutput {
-    stats: RuntimeStats,
+    stats: ShardStats,
     /// `(seed, checksum)` of every job, sorted — the correctness digest.
     results: Vec<(u64, u64)>,
 }
 
 fn run(pipeline: bool) -> RunOutput {
-    let config = RuntimeConfig {
-        pipeline,
+    let host = ShardConfig::host();
+    let config = ShardConfig {
+        pipeline: if pipeline {
+            host.pipeline
+        } else {
+            Beat::Serial
+        },
         // Large enough that admission never throttles the pipeline; the
         // runtime bench's saturation table covers the bound itself.
         queue_capacity: 2048,
@@ -58,45 +63,35 @@ fn run(pipeline: bool) -> RunOutput {
             scan_depth: 256,
             aging_limit: 64,
         },
-        ..RuntimeConfig::default()
+        ..host
     };
     let system = AtlantisSystem::builder().with_acbs(ACBS).build();
-    let rt = Arc::new(Runtime::serve(system, config).expect("serve"));
+    let rt = Runtime::serve(system, config).expect("serve");
 
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let rt = Arc::clone(&rt);
-            std::thread::spawn(move || {
-                let mut pending = Vec::new();
-                for i in 0..JOBS_PER_CLIENT {
-                    let n = u64::from(c) * JOBS_PER_CLIENT + i;
-                    let spec = heavy_mixed(n);
-                    // Uniform priority: class preemption fragments
-                    // same-design batching, and this table isolates the
-                    // pipeline, not the priority scheduler (table 12).
-                    let handle = loop {
-                        match rt.submit(JobRequest::new(c, spec)) {
-                            Ok(h) => break h,
-                            Err(RuntimeError::Overloaded { .. }) => std::thread::yield_now(),
-                            Err(e) => panic!("submit: {e}"),
-                        }
-                    };
-                    pending.push((spec.seed, handle));
+    // One submitter interleaves the tenants' streams, so the run replays.
+    let mut pending = Vec::new();
+    for i in 0..JOBS_PER_CLIENT {
+        for c in 0..CLIENTS {
+            let n = u64::from(c) * JOBS_PER_CLIENT + i;
+            let spec = heavy_mixed(n);
+            // Uniform priority: class preemption fragments same-design
+            // batching, and this table isolates the pipeline, not the
+            // priority scheduler (table 12).
+            let handle = loop {
+                match rt.submit(JobRequest::new(c, spec)) {
+                    Ok(h) => break h,
+                    Err(RuntimeError::Overloaded(_)) => std::thread::yield_now(),
+                    Err(e) => panic!("submit: {e}"),
                 }
-                pending
-                    .into_iter()
-                    .map(|(seed, h)| (seed, h.wait().expect("job completes").checksum))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-
-    let mut results = Vec::new();
-    for t in clients {
-        results.extend(t.join().expect("client thread"));
+            };
+            pending.push((spec.seed, handle));
+        }
     }
+    let mut results: Vec<(u64, u64)> = pending
+        .into_iter()
+        .map(|(seed, h)| (seed, h.wait().expect("job completes").checksum))
+        .collect();
     results.sort_unstable();
-    let rt = Arc::into_inner(rt).expect("clients joined");
     RunOutput {
         stats: rt.shutdown(),
         results,
@@ -108,7 +103,7 @@ fn main() -> std::process::ExitCode {
     let total = u64::from(CLIENTS) * JOBS_PER_CLIENT;
 
     println!(
-        "mixed workload: {total} jobs from {CLIENTS} clients on {ACBS} ACBs, serial vs pipelined\n"
+        "mixed workload: {total} jobs from {CLIENTS} tenants on {ACBS} ACBs, serial vs pipelined\n"
     );
     let serial = run(false);
     let pipe = run(true);
@@ -132,12 +127,12 @@ fn main() -> std::process::ExitCode {
             name.to_string(),
             s.completed.to_string(),
             f(s.virtual_jobs_per_sec(), 1),
-            s.pipeline_beats.to_string(),
-            s.pipeline_drains.to_string(),
+            s.pipeline.beats.to_string(),
+            s.pipeline.drains.to_string(),
             f(s.overlap_efficiency(), 3),
-            f(s.latency.percentile_us(0.5), 0),
-            f(s.latency.percentile_us(0.95), 0),
-            f(s.latency.percentile_us(0.99), 0),
+            f(s.latency_us(0.5), 0),
+            f(s.latency_us(0.95), 0),
+            f(s.latency_us(0.99), 0),
         ]);
     }
     table.print();
@@ -148,18 +143,14 @@ fn main() -> std::process::ExitCode {
         f(occ[1], 3),
         f(occ[2], 3)
     );
-    println!(
-        "buffer pool: {} hits, {} misses",
-        pipe.stats.pool_hits, pipe.stats.pool_misses
-    );
     for (name, s) in [("serial", &serial.stats), ("pipelined", &pipe.stats)] {
         println!(
             "{name}: makespan {} | reconfig {} dma {} execute {} window {} | switches {}",
-            s.virtual_makespan,
+            s.makespan(),
             s.reconfig_time,
             s.dma_time,
             s.execute_time,
-            s.window_time,
+            s.pipeline.window_time,
             s.full_loads + s.partial_switches,
         );
     }
@@ -175,7 +166,7 @@ fn main() -> std::process::ExitCode {
     );
     c.check(
         "no job failed in either mode",
-        serial.stats.failed == 0 && pipe.stats.failed == 0,
+        serial.stats.guard.faulted == 0 && pipe.stats.guard.faulted == 0,
     );
     c.check_band(
         "virtual throughput speedup pipelined/serial",
@@ -191,33 +182,29 @@ fn main() -> std::process::ExitCode {
     );
     c.check(
         "pipeline advanced beats and survived design-switch drains",
-        pipe.stats.pipeline_beats > 0 && pipe.stats.pipeline_drains > 0,
+        pipe.stats.pipeline.beats > 0 && pipe.stats.pipeline.drains > 0,
     );
     c.check(
         "serial mode never pipelines",
-        serial.stats.pipeline_beats == 0,
-    );
-    c.check(
-        "zero-copy pool: reuse dominates allocation",
-        pipe.stats.pool_hits > 10 * pipe.stats.pool_misses,
+        serial.stats.pipeline.beats == 0,
     );
     // Record the headline latency percentiles into the JSON artifact
     // (wide sanity bands — their purpose is the recorded value).
     c.check_band(
         "pipelined p50 latency (us)",
-        pipe.stats.latency.percentile_us(0.5),
+        pipe.stats.latency_us(0.5),
         1.0,
         6e8,
     );
     c.check_band(
         "pipelined p95 latency (us)",
-        pipe.stats.latency.percentile_us(0.95),
+        pipe.stats.latency_us(0.95),
         1.0,
         6e8,
     );
     c.check_band(
         "pipelined p99 latency (us)",
-        pipe.stats.latency.percentile_us(0.99),
+        pipe.stats.latency_us(0.99),
         1.0,
         6e8,
     );

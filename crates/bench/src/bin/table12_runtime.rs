@@ -5,9 +5,9 @@
 //! time-share the same reconfigurable boards, and §2 argues partial
 //! reconfiguration makes hardware task switches cheap enough to do so.
 //! This table measures exactly that claim at the serving layer: a mixed
-//! workload submitted by concurrent clients, scheduled across four ACBs
-//! under (a) strict FIFO and (b) the reconfiguration-aware batching
-//! policy. Both must produce bit-identical results; the aware policy
+//! workload from eight tenants, submitted in one deterministic sequence
+//! and scheduled across four ACBs under (a) strict FIFO and (b) the
+//! reconfiguration-aware batching policy. Both must produce bit-identical results; the aware policy
 //! must do so with fewer hardware task switches and a higher virtual
 //! (machine-time) throughput. A saturation run then shows bounded-queue
 //! backpressure: overload is shed by rejection, never by losing an
@@ -17,85 +17,77 @@ use atlantis_apps::jobs::JobSpec;
 use atlantis_bench::{f, Checker, Table};
 use atlantis_core::AtlantisSystem;
 use atlantis_runtime::{
-    JobRequest, PickConfig, Priority, Runtime, RuntimeConfig, RuntimeError, RuntimeStats,
+    JobRequest, PickConfig, Priority, Runtime, RuntimeError, ShardConfig, ShardStats,
 };
-use std::sync::Arc;
 
 const CLIENTS: u32 = 8;
 const JOBS_PER_CLIENT: u64 = 150;
 const ACBS: usize = 4;
 
 struct RunOutput {
-    stats: RuntimeStats,
+    stats: ShardStats,
+    cache_misses: u64,
     /// `(seed, checksum)` of every job, sorted — the correctness digest.
     results: Vec<(u64, u64)>,
 }
 
 fn run(pick: PickConfig) -> RunOutput {
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         pick,
         // Large enough that admission is not the bottleneck in the
         // throughput experiment; the saturation run exercises the bound.
         queue_capacity: 2048,
-        ..RuntimeConfig::default()
+        ..ShardConfig::host()
     };
     let system = AtlantisSystem::builder().with_acbs(ACBS).build();
-    let rt = Arc::new(Runtime::serve(system, config).expect("serve"));
+    let rt = Runtime::serve(system, config).expect("serve");
 
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let rt = Arc::clone(&rt);
-            std::thread::spawn(move || {
-                let mut pending = Vec::new();
-                for i in 0..JOBS_PER_CLIENT {
-                    let n = u64::from(c) * JOBS_PER_CLIENT + i;
-                    let spec = JobSpec::mixed(n);
-                    let priority = match n % 16 {
-                        0 => Priority::High,
-                        1..=3 => Priority::Low,
-                        _ => Priority::Normal,
-                    };
-                    let handle = loop {
-                        match rt.submit(JobRequest::new(c, spec).with_priority(priority)) {
-                            Ok(h) => break h,
-                            Err(RuntimeError::Overloaded { .. }) => std::thread::yield_now(),
-                            Err(e) => panic!("submit: {e}"),
-                        }
-                    };
-                    pending.push((spec.seed, handle));
+    // One submitter interleaves the tenants' streams, so the run replays.
+    let mut pending = Vec::new();
+    for i in 0..JOBS_PER_CLIENT {
+        for c in 0..CLIENTS {
+            let n = u64::from(c) * JOBS_PER_CLIENT + i;
+            let spec = JobSpec::mixed(n);
+            let priority = match n % 16 {
+                0 => Priority::High,
+                1..=3 => Priority::Low,
+                _ => Priority::Normal,
+            };
+            let handle = loop {
+                match rt.submit(JobRequest::new(c, spec).with_priority(priority)) {
+                    Ok(h) => break h,
+                    Err(RuntimeError::Overloaded(_)) => std::thread::yield_now(),
+                    Err(e) => panic!("submit: {e}"),
                 }
-                pending
-                    .into_iter()
-                    .map(|(seed, h)| (seed, h.wait().expect("job completes").checksum))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-
-    let mut results = Vec::new();
-    for t in clients {
-        results.extend(t.join().expect("client thread"));
+            };
+            pending.push((spec.seed, handle));
+        }
     }
+    let mut results: Vec<(u64, u64)> = pending
+        .into_iter()
+        .map(|(seed, h)| (seed, h.wait().expect("job completes").checksum))
+        .collect();
     results.sort_unstable();
-    let rt = Arc::into_inner(rt).expect("clients joined");
+    let (_, cache_misses) = rt.cache_counters();
     RunOutput {
         stats: rt.shutdown(),
+        cache_misses,
         results,
     }
 }
 
-fn saturation() -> RuntimeStats {
+fn saturation() -> ShardStats {
     let system = AtlantisSystem::builder().with_acbs(1).build();
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         queue_capacity: 8,
-        ..RuntimeConfig::default()
+        ..ShardConfig::host()
     };
     let rt = Runtime::serve(system, config).expect("serve");
     let mut handles = Vec::new();
     for i in 0..300u64 {
         match rt.submit(JobRequest::new(0, JobSpec::trt(i))) {
             Ok(h) => handles.push(h),
-            Err(RuntimeError::Overloaded { .. }) => {}
+            Err(RuntimeError::Overloaded(_)) => {}
             Err(e) => panic!("submit: {e}"),
         }
     }
@@ -109,7 +101,7 @@ fn main() -> std::process::ExitCode {
     let mut c = Checker::new();
     let total = u64::from(CLIENTS) * JOBS_PER_CLIENT;
 
-    println!("mixed workload: {total} jobs from {CLIENTS} clients on {ACBS} ACBs, both policies\n");
+    println!("mixed workload: {total} jobs from {CLIENTS} tenants on {ACBS} ACBs, both policies\n");
     let fifo = run(PickConfig::fifo());
     let aware = run(PickConfig::default());
 
@@ -134,8 +126,8 @@ fn main() -> std::process::ExitCode {
             f(s.switches_per_job(), 3),
             format!("{}", s.reconfig_time),
             f(s.virtual_jobs_per_sec(), 1),
-            f(s.latency.percentile_us(0.5), 0),
-            f(s.latency.percentile_us(0.99), 0),
+            f(s.latency_us(0.5), 0),
+            f(s.latency_us(0.99), 0),
         ]);
     }
     table.print();
@@ -150,7 +142,7 @@ fn main() -> std::process::ExitCode {
     );
     c.check(
         "no job failed under either policy",
-        fifo.stats.failed == 0 && aware.stats.failed == 0,
+        fifo.stats.guard.faulted == 0 && aware.stats.guard.faulted == 0,
     );
     let fifo_switches = fifo.stats.full_loads + fifo.stats.partial_switches;
     let aware_switches = aware.stats.full_loads + aware.stats.partial_switches;
@@ -172,7 +164,7 @@ fn main() -> std::process::ExitCode {
     );
     c.check(
         "bitstream cache absorbed every fit (0 misses after prefit)",
-        fifo.stats.cache_misses == 0 && aware.stats.cache_misses == 0,
+        fifo.cache_misses == 0 && aware.cache_misses == 0,
     );
     // Record the headline serving numbers into the JSON artifact (wide
     // sanity bands — their purpose is the recorded value).
@@ -202,13 +194,13 @@ fn main() -> std::process::ExitCode {
     );
     c.check_band(
         "aware p50 latency (us)",
-        aware.stats.latency.percentile_us(0.5),
+        aware.stats.latency_us(0.5),
         1.0,
         6e8,
     );
     c.check_band(
         "aware p99 latency (us)",
-        aware.stats.latency.percentile_us(0.99),
+        aware.stats.latency_us(0.99),
         1.0,
         6e8,
     );
@@ -224,7 +216,7 @@ fn main() -> std::process::ExitCode {
         sat.submitted.to_string(),
         sat.rejected.to_string(),
         sat.completed.to_string(),
-        sat.failed.to_string(),
+        sat.guard.faulted.to_string(),
     ]);
     sat_table.print();
     c.check(
@@ -237,7 +229,7 @@ fn main() -> std::process::ExitCode {
     );
     c.check(
         "zero lost in-flight jobs: completed == accepted",
-        sat.completed == sat.submitted && sat.failed == 0,
+        sat.completed == sat.submitted && sat.guard.faulted == 0,
     );
 
     atlantis_bench::conclude("runtime", c)

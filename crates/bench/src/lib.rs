@@ -131,6 +131,27 @@ impl Checker {
         });
     }
 
+    /// [`check_band`](Self::check_band) over a host wall-clock reading:
+    /// stdout shows the verdict and the band, the reading itself goes to
+    /// stderr and the JSON artifact — so a table's stdout stays a pure
+    /// function of the simulation and replays byte for byte.
+    pub fn check_band_wall(&mut self, name: impl Into<String>, value: f64, lo: f64, hi: f64) {
+        let name = name.into();
+        let ok = (lo..=hi).contains(&value);
+        println!(
+            "  [{}] {name} (band {lo:.3}..{hi:.3})",
+            if ok { "ok" } else { "FAIL" }
+        );
+        eprintln!("  {name}: {value:.3}");
+        self.checks.push(CheckRecord {
+            name,
+            ok,
+            value: Some(value),
+            lo: Some(lo),
+            hi: Some(hi),
+        });
+    }
+
     /// Everything recorded so far.
     pub fn records(&self) -> &[CheckRecord] {
         &self.checks

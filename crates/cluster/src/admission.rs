@@ -17,9 +17,10 @@
 //! 3. **Queue full** — the hard bound, for `High` jobs too.
 //!
 //! Every refusal carries the queue depth seen and a retry-after hint
-//! derived from the shard's service-time EWMA, mirroring
-//! [`RuntimeError::Overloaded`](atlantis_runtime::RuntimeError) on the
-//! threaded runtime.
+//! derived from the shard's service-time EWMA, mirroring the
+//! [`ShardReject`](atlantis_runtime::ShardReject) that
+//! [`RuntimeError::Overloaded`](atlantis_runtime::RuntimeError) carries
+//! on the single-node front.
 
 use atlantis_runtime::Priority;
 use atlantis_simcore::SimDuration;

@@ -1,13 +1,12 @@
 //! Quarantine events as capacity deltas — the guard layer's interface
 //! to the cluster's elastic capacity tracking.
 //!
-//! The threaded runtime's guard quarantines a board after repeated
-//! dirty integrity events (DESIGN.md §11). At cluster scale the router
-//! needs that same signal *ahead of time* on the deterministic virtual
-//! clock: a shard whose board goes dark advertises less capacity and
-//! the router re-weights live. [`QuarantinePlan`] precomputes, from the
-//! same seeded Poisson upset model [`GuardState`](atlantis_runtime)
-//! uses, the virtual instant each board accumulates enough upsets to be
+//! The serving engine's guard quarantines a board after repeated dirty
+//! integrity events (DESIGN.md §11). At cluster scale the router needs
+//! that same signal *ahead of time* on the deterministic virtual clock: a
+//! shard whose board goes dark advertises less capacity and the router
+//! re-weights live. [`QuarantinePlan`] precomputes, from a seeded
+//! Poisson upset model like the guard's, the virtual instant each board accumulates enough upsets to be
 //! quarantined, and replays those instants as ordered
 //! [`CapacityDelta`]s while the cluster clock advances.
 
@@ -20,7 +19,7 @@ pub struct DegradationConfig {
     /// Single-event upsets per second of virtual time, per board.
     pub upset_rate: f64,
     /// A board is quarantined at its N-th upset — the same
-    /// repeated-dirty threshold the threaded guard applies
+    /// repeated-dirty threshold the serving guard applies
     /// ([`GuardConfig::quarantine_after`](atlantis_runtime::GuardConfig)).
     pub quarantine_after: u32,
     /// Seed of the upset arrival process.
@@ -65,7 +64,7 @@ impl QuarantinePlan {
     /// Build the schedule for `boards` boards. `stream` decorrelates
     /// shards sharing one [`DegradationConfig`] (pass the shard index);
     /// each board then draws from its own forked RNG stream, mirroring
-    /// the per-device streams of the threaded guard.
+    /// the per-board streams of the serving guard.
     pub fn new(cfg: &DegradationConfig, boards: usize, stream: u64) -> Self {
         let mut events = Vec::new();
         if cfg.is_active() && cfg.quarantine_after > 0 {

@@ -25,10 +25,11 @@
 //!   recording detection latency, silent-corruption and retry counts,
 //!   scrub overhead, and availability at each point.
 //!
-//! Campaigns are deterministic in virtual time: upset arrivals are a
-//! seeded Poisson process over each device's virtual clock, so a fixed
-//! [`CampaignConfig::seed`] replays the same fault pattern regardless
-//! of host scheduling.
+//! Campaigns are deterministic: the runtime serves on a virtual clock and
+//! upset arrivals are a seeded Poisson process over each board's busy
+//! time, so a fixed [`CampaignConfig::seed`] replays the same fault
+//! pattern, the same statistics and the same per-job results byte for
+//! byte.
 //!
 //! ```no_run
 //! use atlantis_guard::CampaignConfig;
@@ -39,7 +40,7 @@
 //!     println!(
 //!         "{:>8.0}/s: {} silent, {:.1}% available",
 //!         p.upset_rate,
-//!         p.stats.silent_corruptions,
+//!         p.stats.guard.silent_corruptions,
 //!         p.stats.availability() * 100.0
 //!     );
 //! }
@@ -54,9 +55,7 @@ pub use capacity::{CapacityDelta, DegradationConfig, QuarantinePlan};
 
 use atlantis_apps::jobs::{JobSpec, WorkloadContext};
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{
-    GuardConfig, JobRequest, Runtime, RuntimeConfig, RuntimeError, RuntimeStats,
-};
+use atlantis_runtime::{GuardConfig, JobRequest, Runtime, RuntimeError, ShardConfig, ShardStats};
 
 /// One fault-injection campaign: a fixed workload served under a fixed
 /// protection policy, swept across upset rates.
@@ -78,9 +77,9 @@ pub struct CampaignConfig {
     /// `upset_rate`, `stealth_fraction`, and `upset_seed` from this
     /// config.
     pub policy: GuardConfig,
-    /// Base runtime configuration. The queue capacity is raised to hold
+    /// Base serving configuration. The queue capacity is raised to hold
     /// the whole campaign so backpressure never rejects a campaign job.
-    pub runtime: RuntimeConfig,
+    pub shard: ShardConfig,
 }
 
 impl Default for CampaignConfig {
@@ -92,7 +91,7 @@ impl Default for CampaignConfig {
             stealth_fraction: 0.0,
             seed: 7,
             policy: GuardConfig::protected(),
-            runtime: RuntimeConfig::default(),
+            shard: ShardConfig::host(),
         }
     }
 }
@@ -137,15 +136,18 @@ pub struct PointReport {
     /// oracle — corruption that *reached a client*. The end-to-end
     /// ground truth the protection policy is judged by.
     pub mismatches: u64,
+    /// Every job's `(id, checksum)` in submission order; `None` for a
+    /// faulted job.
+    pub results: Vec<(u64, Option<u64>)>,
     /// The runtime's final statistics for this point.
-    pub stats: RuntimeStats,
+    pub stats: ShardStats,
 }
 
 impl PointReport {
     /// Whether every answered job was either correct or honestly
     /// failed — no corrupt result reached a client.
     pub fn clean(&self) -> bool {
-        self.mismatches == 0 && self.stats.silent_corruptions == 0
+        self.mismatches == 0 && self.stats.guard.silent_corruptions == 0
     }
 }
 
@@ -154,10 +156,10 @@ impl PointReport {
 pub fn run_point_with_oracle(cfg: &CampaignConfig, upset_rate: f64, oracle: &[u64]) -> PointReport {
     assert_eq!(oracle.len() as u64, cfg.jobs, "oracle covers every job");
     let system = AtlantisSystem::builder().with_acbs(cfg.devices).build();
-    let rt_cfg = RuntimeConfig {
+    let rt_cfg = ShardConfig {
         guard: cfg.guard_at(upset_rate),
-        queue_capacity: cfg.runtime.queue_capacity.max(cfg.jobs as usize),
-        ..cfg.runtime
+        queue_capacity: cfg.shard.queue_capacity.max(cfg.jobs as usize),
+        ..cfg.shard
     };
     let rt = Runtime::serve(system, rt_cfg).expect("campaign system has devices");
     let handles: Vec<_> = (0..cfg.jobs)
@@ -169,15 +171,21 @@ pub fn run_point_with_oracle(cfg: &CampaignConfig, upset_rate: f64, oracle: &[u6
     let mut completed = 0u64;
     let mut faulted = 0u64;
     let mut mismatches = 0u64;
+    let mut results = Vec::with_capacity(handles.len());
     for (i, h) in handles.into_iter().enumerate() {
+        let id = h.id();
         match h.wait() {
             Ok(r) => {
                 completed += 1;
                 if r.checksum != oracle[i] {
                     mismatches += 1;
                 }
+                results.push((id, Some(r.checksum)));
             }
-            Err(RuntimeError::Faulted { .. }) => faulted += 1,
+            Err(RuntimeError::Faulted { .. }) => {
+                faulted += 1;
+                results.push((id, None));
+            }
             Err(e) => panic!("campaign job {i} failed unexpectedly: {e}"),
         }
     }
@@ -187,6 +195,7 @@ pub fn run_point_with_oracle(cfg: &CampaignConfig, upset_rate: f64, oracle: &[u6
         completed,
         faulted,
         mismatches,
+        results,
         stats,
     }
 }
@@ -241,7 +250,7 @@ mod tests {
         assert_eq!(p.completed, 24);
         assert_eq!(p.faulted, 0);
         assert!(p.clean(), "fault-free serving must match the oracle");
-        assert_eq!(p.stats.upsets_injected, 0);
+        assert_eq!(p.stats.guard.upsets_injected, 0);
         assert_eq!(p.stats.mtbf(), f64::INFINITY);
     }
 }

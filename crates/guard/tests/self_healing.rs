@@ -6,9 +6,7 @@
 use atlantis_apps::jobs::{JobSpec, WorkloadContext};
 use atlantis_core::AtlantisSystem;
 use atlantis_guard::{run_point, CampaignConfig};
-use atlantis_runtime::{
-    GuardConfig, JobRequest, Runtime, RuntimeConfig, RuntimeError, RuntimeStats,
-};
+use atlantis_runtime::{GuardConfig, JobRequest, Runtime, RuntimeError, ShardConfig, ShardStats};
 use atlantis_simcore::SimDuration;
 
 /// Serve `specs` under `guard` on `devices` boards and audit every
@@ -18,14 +16,14 @@ fn serve_audited(
     devices: usize,
     specs: &[JobSpec],
     guard: GuardConfig,
-) -> (u64, u64, u64, RuntimeStats) {
+) -> (u64, u64, u64, ShardStats) {
     let mut ctx = WorkloadContext::new();
     let oracle: Vec<u64> = specs.iter().map(|s| ctx.execute(s).checksum).collect();
     let system = AtlantisSystem::builder().with_acbs(devices).build();
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         guard,
         queue_capacity: specs.len().max(1),
-        ..RuntimeConfig::default()
+        ..ShardConfig::host()
     };
     let rt = Runtime::serve(system, config).unwrap();
     let handles: Vec<_> = specs
@@ -62,12 +60,12 @@ fn protected_serving_never_leaks_a_corrupt_result() {
     };
     let p = run_point(&cfg, 2_000.0);
     assert!(
-        p.stats.upsets_injected > 0,
+        p.stats.guard.upsets_injected > 0,
         "the campaign must actually inject faults ({} upsets)",
-        p.stats.upsets_injected
+        p.stats.guard.upsets_injected
     );
     assert_eq!(
-        p.stats.silent_corruptions, 0,
+        p.stats.guard.silent_corruptions, 0,
         "protected serving leaked a corrupt execution to a client"
     );
     assert_eq!(
@@ -77,10 +75,10 @@ fn protected_serving_never_leaks_a_corrupt_result() {
     assert_eq!(p.completed + p.faulted, cfg.jobs, "every job is answered");
     assert!(p.completed > 0, "the runtime still makes progress");
     assert!(
-        p.stats.detected_corruptions > 0,
+        p.stats.guard.detected_corruptions > 0,
         "with this fault load the detectors must fire"
     );
-    assert!(p.stats.detected_upsets > 0);
+    assert!(p.stats.guard.detected_upsets > 0);
     assert!(p.stats.mean_detection_latency_us() > 0.0);
     let avail = p.stats.availability();
     assert!(
@@ -103,18 +101,18 @@ fn unprotected_serving_demonstrably_corrupts_results() {
         ..CampaignConfig::default()
     };
     let p = run_point(&cfg, 50_000.0);
-    assert!(p.stats.upsets_injected > 0);
+    assert!(p.stats.guard.upsets_injected > 0);
     assert_eq!(p.completed, cfg.jobs, "nothing fails — it just lies");
     assert!(
-        p.stats.silent_corruptions > 0,
+        p.stats.guard.silent_corruptions > 0,
         "an unprotected run under this fault load must corrupt results"
     );
     assert_eq!(
-        p.mismatches, p.stats.silent_corruptions,
+        p.mismatches, p.stats.guard.silent_corruptions,
         "every ground-truth corrupt completion is visible to the oracle audit"
     );
-    assert_eq!(p.stats.detected_corruptions, 0);
-    assert_eq!(p.stats.guard_scrubs + p.stats.guard_repairs, 0);
+    assert_eq!(p.stats.guard.detected_corruptions, 0);
+    assert_eq!(p.stats.guard.scrubs + p.stats.guard.repairs, 0);
 }
 
 #[test]
@@ -132,13 +130,13 @@ fn stealthy_upsets_evade_crc_scans_but_not_re_execution_votes() {
         ..GuardConfig::disabled()
     };
     let (completed, _, mismatches, stats) = serve_audited(1, &specs, crc_only);
-    assert!(stats.upsets_injected > 0);
-    assert_eq!(stats.upsets_stealthy, stats.upsets_injected);
+    assert!(stats.guard.upsets_injected > 0);
+    assert_eq!(stats.guard.upsets_stealthy, stats.guard.upsets_injected);
     assert!(completed > 0);
     assert!(
-        stats.silent_corruptions > 0 && mismatches > 0,
+        stats.guard.silent_corruptions > 0 && mismatches > 0,
         "CRC scans alone must miss stealthy corruption ({} silent)",
-        stats.silent_corruptions
+        stats.guard.silent_corruptions
     );
 
     // Re-execution voting on the RISC host catches what the CRC can't.
@@ -153,14 +151,14 @@ fn stealthy_upsets_evade_crc_scans_but_not_re_execution_votes() {
     };
     let vote_specs = &specs[..40];
     let (completed, faulted, mismatches, stats) = serve_audited(1, vote_specs, voting);
-    assert!(stats.upsets_injected > 0);
+    assert!(stats.guard.upsets_injected > 0);
     assert_eq!(
-        stats.silent_corruptions, 0,
+        stats.guard.silent_corruptions, 0,
         "voting must catch every stealthy corruption"
     );
     assert_eq!(mismatches, 0);
     assert_eq!(completed + faulted, vote_specs.len() as u64);
-    assert!(stats.detected_corruptions > 0, "the votes must fire");
+    assert!(stats.guard.detected_corruptions > 0, "the votes must fire");
 }
 
 #[test]
@@ -176,12 +174,12 @@ fn a_repeatedly_failing_device_is_quarantined_and_its_work_drained() {
     };
     let (completed, faulted, mismatches, stats) = serve_audited(2, &specs, guard);
     assert_eq!(
-        stats.quarantined_devices, 1,
+        stats.quarantined, 1,
         "exactly one board is pulled — the last active board never is"
     );
     assert_eq!(completed + faulted, specs.len() as u64, "no job is lost");
     assert!(completed > 0, "healthy capacity keeps serving");
-    assert_eq!(stats.silent_corruptions, 0);
+    assert_eq!(stats.guard.silent_corruptions, 0);
     assert_eq!(mismatches, 0);
 }
 
@@ -199,13 +197,13 @@ fn scrub_overhead_scales_with_the_upset_rate() {
     });
     assert_eq!(reports.len(), 2);
     let (clean, hot) = (&reports[0], &reports[1]);
-    assert_eq!(clean.stats.upsets_injected, 0);
+    assert_eq!(clean.stats.guard.upsets_injected, 0);
     assert!(clean.clean());
-    assert!(hot.stats.upsets_injected > 0);
+    assert!(hot.stats.guard.upsets_injected > 0);
     assert!(hot.clean(), "protected points stay clean at every rate");
     assert!(
-        hot.stats.scrub_time + hot.stats.check_time
-            > clean.stats.scrub_time + clean.stats.check_time,
+        hot.stats.guard.scrub_time + hot.stats.guard.check_time
+            > clean.stats.guard.scrub_time + clean.stats.guard.check_time,
         "repair work must show up in the overhead accounting"
     );
     assert!(hot.stats.availability() < clean.stats.availability());

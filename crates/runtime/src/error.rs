@@ -1,44 +1,25 @@
 //! Errors of the serving runtime.
 
-use crate::job::Priority;
+use crate::shard::ShardReject;
 use atlantis_core::coprocessor::TaskError;
 use std::fmt;
-use std::time::Duration;
 
 /// Why the runtime refused or failed a request.
 #[derive(Debug)]
 pub enum RuntimeError {
     /// The bounded admission queue is full — the caller must back off
-    /// and retry. This is the graceful-degradation path: under overload
-    /// the runtime rejects *new* work instead of growing without bound
-    /// or stalling accepted jobs. The rejection carries enough context
-    /// for the caller to act on it: how deep the rejecting queue was,
-    /// which priority class was refused, and an estimate of when a slot
-    /// is likely to free up.
-    Overloaded {
-        /// The queue capacity that was exhausted.
-        capacity: usize,
-        /// Jobs queued at the moment of rejection (≥ `capacity`).
-        depth: usize,
-        /// The refused job's priority class.
-        priority: Priority,
-        /// Estimated wall time until the queue drains a slot: the
-        /// observed per-job service EWMA × depth ÷ workers. Zero until
-        /// the first completion calibrates the estimate — treat it as a
-        /// hint, not a guarantee.
-        retry_after: Duration,
-    },
-    /// The runtime is shutting down and accepts no new jobs.
-    ShuttingDown,
+    /// and retry. Under overload the runtime rejects *new* work instead
+    /// of growing without bound or stalling accepted jobs. The
+    /// [`ShardReject`] says how deep the queue was, which class was
+    /// refused, and when (in virtual time) a slot is likely to free.
+    Overloaded(ShardReject),
     /// The system handed to [`Runtime::serve`](crate::Runtime::serve)
     /// has no computing boards.
     NoDevices,
-    /// A computing board expected at this index is missing.
-    NoSuchDevice(usize),
     /// The coprocessor rejected a task operation (registration fit,
     /// reconfiguration).
     Task(TaskError),
-    /// The job repeatedly executed on devices whose configuration was
+    /// The job repeatedly executed on boards whose configuration was
     /// later found corrupted and exhausted its retry budget (see
     /// [`GuardConfig::max_retries`](crate::GuardConfig::max_retries)).
     Faulted {
@@ -50,21 +31,12 @@ pub enum RuntimeError {
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuntimeError::Overloaded {
-                capacity,
-                depth,
-                priority,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "admission queue full ({depth}/{capacity} jobs, {priority:?} class refused, \
-                     retry in ~{retry_after:?})"
-                )
-            }
-            RuntimeError::ShuttingDown => write!(f, "runtime is shutting down"),
+            RuntimeError::Overloaded(r) => write!(
+                f,
+                "admission queue full ({}/{} jobs, {:?} class refused, retry in ~{})",
+                r.depth, r.capacity, r.priority, r.retry_after
+            ),
             RuntimeError::NoDevices => write!(f, "system has no computing boards"),
-            RuntimeError::NoSuchDevice(i) => write!(f, "no ACB at index {i}"),
             RuntimeError::Task(e) => write!(f, "coprocessor: {e}"),
             RuntimeError::Faulted { retries } => {
                 write!(f, "job failed integrity checks after {retries} retries")

@@ -1,37 +1,35 @@
-//! atlantis-runtime — a multi-tenant job scheduler for the simulated
+//! atlantis-runtime — the multi-tenant serving engine of the simulated
 //! ATLANTIS machine.
 //!
 //! The paper's machine (§1–§3) is a farm of reconfigurable coprocessor
 //! boards behind a CompactPCI backplane; its economics hinge on
 //! *hardware task switching* — swapping the design on an FPGA by
 //! partial reconfiguration instead of re-fitting and fully re-loading
-//! it. This crate adds the serving layer that exploits that: a job
-//! server that accepts heterogeneous requests (TRT trigger events,
+//! it. This crate serves heterogeneous requests (TRT trigger events,
 //! volume-rendering frames, 2-D image filters, N-body steps) from many
-//! concurrent client threads, queues them with priorities under a
-//! bounded-capacity admission policy, and schedules them across the
-//! system's ACB devices.
+//! tenants on those boards: priorities under a bounded-capacity
+//! admission queue, a reconfiguration-aware pick, the pipelined
+//! DMA/compute beat, lane-gathered execution and the self-healing
+//! guard.
 //!
-//! The scheduler is reconfiguration-aware: each worker tracks the
-//! design currently loaded on its FPGA and prefers nearby queued jobs
-//! for that design (bounded look-ahead, bounded batch length, bounded
-//! skip count — no starvation), so same-design jobs batch and the
-//! per-switch configuration cost amortises. That pick lives in one
-//! [`SchedCore`], shared by the threaded [`Runtime`] and the
-//! virtual-time [`ShardScheduler`] and tuned by one [`PickConfig`].
-//! Fitted bitstreams are kept in a shared [`BitstreamCache`], so no job
-//! ever waits on the fitter after warm-up.
+//! There is one serving engine, the virtual-time [`ShardScheduler`]: a
+//! discrete-event model of one host and its boards that every fixed
+//! submission sequence replays byte for byte. The cluster embeds one
+//! per host; [`Runtime`] is a thin blocking front over one built from an
+//! [`AtlantisSystem`]'s ACBs. The pick lives in one [`SchedCore`] tuned
+//! by one [`PickConfig`], and fitted bitstreams are kept in a shared
+//! [`BitstreamCache`], so no job ever waits on the fitter after warm-up.
 //!
 //! ```no_run
 //! use atlantis_core::AtlantisSystem;
-//! use atlantis_runtime::{JobRequest, Runtime, RuntimeConfig};
+//! use atlantis_runtime::{JobRequest, Runtime, ShardConfig};
 //! use atlantis_apps::jobs::JobSpec;
 //!
 //! let system = AtlantisSystem::builder().with_acbs(4).build();
-//! let rt = Runtime::serve(system, RuntimeConfig::default()).unwrap();
+//! let rt = Runtime::serve(system, ShardConfig::host()).unwrap();
 //! let handle = rt.submit(JobRequest::new(0, JobSpec::trt(42))).unwrap();
-//! let result = handle.wait().unwrap();
-//! println!("checksum {:016x} in {:?}", result.checksum, result.timings.wall);
+//! let done = handle.wait().unwrap();
+//! println!("checksum {:016x} after {}", done.checksum, done.latency());
 //! let stats = rt.shutdown();
 //! println!("{} jobs, {:.2} switches/job", stats.completed, stats.switches_per_job());
 //! ```
@@ -39,312 +37,197 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bufpool;
 mod cache;
 mod error;
 mod guard;
 mod job;
-mod queue;
 mod sched;
 mod shard;
 mod stats;
-mod worker;
 
-pub use bufpool::{BufferPool, PoolBuf, PAGE_BYTES};
 pub use cache::BitstreamCache;
 pub use error::RuntimeError;
 pub use guard::GuardConfig;
-pub use job::{JobHandle, JobRequest, JobResult, JobTimings, Priority};
+pub use job::{JobRequest, Priority};
 pub use sched::{Affinity, PickConfig, SchedCore, Schedulable};
 pub use shard::{
-    FabricKind, ShardCompletion, ShardConfig, ShardJob, ShardReject, ShardScheduler, ShardStats,
+    Beat, FabricKind, ShardCompletion, ShardConfig, ShardJob, ShardReject, ShardScheduler,
     StolenJob,
 };
-pub use stats::{LatencyHistogram, LogHistogram, RuntimeStats};
+pub use stats::{GuardStats, LaneStats, LogHistogram, PipelineStats, ShardStats};
 
-use atlantis_core::coprocessor::TaskError;
 use atlantis_core::AtlantisSystem;
-use atlantis_fabric::Device;
-use atlantis_pci::OverlapConfig;
-use atlantis_simcore::SimDuration;
-use job::QueuedJob;
-use queue::JobQueue;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
-use worker::{SharedStats, Worker};
+use atlantis_simcore::SimTime;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Tunables for [`Runtime::serve`].
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Hard bound on queued (not yet running) jobs; submissions beyond
-    /// it are rejected with [`RuntimeError::Overloaded`].
-    pub queue_capacity: usize,
-    /// The reconfiguration-aware pick; [`PickConfig::fifo`] is strict
-    /// per-class FIFO.
-    pub pick: PickConfig,
-    /// Serve through the three-stage software pipeline (prefetch /
-    /// execute / writeback on the PLX9080's two DMA channels) so DMA and
-    /// compute overlap. `false` serves each job end to end — the
-    /// baseline the pipeline is measured against.
-    pub pipeline: bool,
-    /// Timing model for overlapped phases on the board — how much of
-    /// the non-dominant phases' time local-bus contention serialises.
-    pub overlap: OverlapConfig,
-    /// Max same-design jobs a pipelined worker gathers into one laned
-    /// execute pass (`1` disables gathering). Lanes step many instances
-    /// of the loaded design together through the SIMD multi-lane CHDL
-    /// engine, amortising the host-side execution cost; virtual-time
-    /// accounting is unaffected — lanes serialise in virtual time on
-    /// the one physical device, so checksums, per-job timings and every
-    /// virtual statistic are identical to `lanes = 1`.
-    pub lanes: usize,
-    /// Reliability policy: fault injection, scrub scheduling, integrity
-    /// checks, and the self-healing recovery path. The default,
-    /// [`GuardConfig::disabled`], injects nothing and checks nothing —
-    /// exactly the pre-guard runtime.
-    pub guard: GuardConfig,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            queue_capacity: 256,
-            pick: PickConfig::default(),
-            pipeline: true,
-            overlap: OverlapConfig::default(),
-            lanes: 8,
-            guard: GuardConfig::disabled(),
-        }
-    }
-}
-
-impl RuntimeConfig {
-    /// The default configuration but with strict FIFO scheduling — the
-    /// baseline the reconfiguration-aware policy is measured against.
-    pub fn fifo() -> Self {
-        RuntimeConfig {
-            pick: PickConfig::fifo(),
-            ..Self::default()
-        }
-    }
-
-    /// The default configuration but serving each job end to end with
-    /// no DMA/compute overlap — the baseline the pipeline is measured
-    /// against.
-    pub fn serial() -> Self {
-        RuntimeConfig {
-            pipeline: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// The job server: owns the machine's ACBs (one worker thread each),
-/// the admission queue, and the bitstream cache.
+/// The job server: a blocking front over one host-built
+/// [`ShardScheduler`] behind a mutex. It spawns no thread: admissions
+/// land at the front's virtual `now`, and the clock moves only when a
+/// caller blocks — [`JobHandle::wait`] and [`Runtime::shutdown`] run the
+/// shard until the awaited work retires. Any number of client threads
+/// may share it; a given submission sequence replays identically.
 #[derive(Debug)]
 pub struct Runtime {
-    queue: Arc<JobQueue>,
-    cache: Arc<BitstreamCache>,
-    pool: Arc<BufferPool>,
-    shared: Arc<Mutex<SharedStats>>,
-    workers: Vec<JoinHandle<()>>,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    rejected_by_class: [AtomicU64; 3],
-    started: Instant,
-    devices: usize,
+    front: Arc<Mutex<Front>>,
+}
+
+#[derive(Debug)]
+struct Front {
+    shard: ShardScheduler,
+    /// Where admissions land on the virtual clock.
+    now: SimTime,
+    next_id: u64,
+    /// Retired jobs whose handles have not collected them yet.
+    done: HashMap<u64, ShardCompletion>,
+    /// Jobs whose handles were dropped unwaited; their completions are
+    /// discarded.
+    abandoned: HashSet<u64>,
+}
+
+impl Front {
+    /// Run the shard to its next board event and keep what retires
+    /// there. Returns how many jobs retired, or `None` when nothing is
+    /// in flight.
+    fn step(&mut self) -> Option<usize> {
+        let t = self.shard.next_completion()?;
+        self.now = t;
+        let retired = self.shard.advance(t);
+        let n = retired.len();
+        for c in retired {
+            if !self.abandoned.remove(&c.id) {
+                self.done.insert(c.id, c);
+            }
+        }
+        Some(n)
+    }
+}
+
+/// Lock the front. The lock is poisoned only if a call panicked while
+/// holding it — a bug in this crate.
+fn lock(front: &Mutex<Front>) -> MutexGuard<'_, Front> {
+    front
+        .lock()
+        .expect("a client panicked while holding the runtime lock")
 }
 
 impl Runtime {
-    /// Take ownership of `system`'s boards and start serving: one
-    /// worker thread per ACB, all workload bitstreams pre-fitted.
+    /// Take ownership of `system`'s ACBs and serve on them under
+    /// `config` (see [`ShardConfig::host`]), all workload bitstreams
+    /// pre-fitted.
     ///
     /// Fails with [`RuntimeError::NoDevices`] when the system has no
     /// ACBs, and propagates fitter errors should a workload design not
     /// fit the device family.
-    pub fn serve(mut system: AtlantisSystem, config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        // Preflight through the non-panicking accessors before
-        // committing to teardown of the system value.
-        if system.try_acb(0).is_none() {
-            return Err(RuntimeError::NoDevices);
-        }
-        let (_host, acbs, _aibs) = system.into_boards();
-        let devices = acbs.len();
-
-        let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
-        cache.prefit_all().map_err(TaskError::Fit)?;
-
-        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.pick, devices));
-        let pool = BufferPool::new();
-        let shared = Arc::new(Mutex::new(SharedStats::new(devices)));
-
-        let mut workers = Vec::with_capacity(devices);
-        for (i, mut driver) in acbs.into_iter().enumerate() {
-            driver.set_overlap(config.overlap);
-            let worker = Worker::new(
-                i,
-                driver,
-                Arc::clone(&queue),
-                Arc::clone(&cache),
-                Arc::clone(&shared),
-                Arc::clone(&pool),
-                config.pipeline,
-                config.lanes,
-                config.guard,
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("atlantis-acb-{i}"))
-                .spawn(move || worker.run())
-                .expect("spawn worker thread");
-            workers.push(handle);
-        }
-
+    pub fn serve(system: AtlantisSystem, config: ShardConfig) -> Result<Self, RuntimeError> {
+        let front = Front {
+            shard: ShardScheduler::host(config, system)?,
+            now: SimTime::ZERO,
+            next_id: 0,
+            done: HashMap::new(),
+            abandoned: HashSet::new(),
+        };
         Ok(Runtime {
-            queue,
-            cache,
-            pool,
-            shared,
-            workers,
-            next_id: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_by_class: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            started: Instant::now(),
-            devices,
+            front: Arc::new(Mutex::new(front)),
         })
     }
 
-    /// Submit a job. Returns a [`JobHandle`] to await the result, or
+    /// Submit a job at the front's virtual `now`. Returns a
+    /// [`JobHandle`] to await the result, or
     /// [`RuntimeError::Overloaded`] when the admission queue is full —
-    /// the backpressure signal; the caller decides whether to retry,
-    /// shed, or slow down.
+    /// the backpressure signal. A rejected submission first runs the
+    /// shard to its next completion, so a caller that retries in a loop
+    /// makes progress.
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let class = request.priority.index();
-        let queued = QueuedJob {
-            id,
-            request,
-            submitted: Instant::now(),
-            retries: 0,
-            reply: tx,
+        let mut f = lock(&self.front);
+        let job = ShardJob {
+            id: f.next_id,
+            tenant: request.client,
+            priority: request.priority,
+            spec: request.spec,
         };
-        match self.queue.push(queued) {
+        let now = f.now;
+        match f.shard.submit(now, job) {
             Ok(()) => {
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { id, rx })
+                f.next_id += 1;
+                Ok(JobHandle {
+                    id: job.id,
+                    front: Arc::clone(&self.front),
+                    waited: false,
+                })
             }
-            Err(e) => {
-                if matches!(e, RuntimeError::Overloaded { .. }) {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.rejected_by_class[class].fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
+            Err(reject) => {
+                while f.step() == Some(0) {}
+                Err(RuntimeError::Overloaded(reject))
             }
         }
     }
 
-    /// Number of ACB devices serving jobs.
-    pub fn devices(&self) -> usize {
-        self.devices
+    /// A snapshot of the shard's counters.
+    pub fn stats(&self) -> ShardStats {
+        lock(&self.front).shard.stats().clone()
     }
 
-    /// Jobs currently waiting in the admission queue.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
+    /// `(hits, misses)` of the bitstream cache.
+    pub fn cache_counters(&self) -> (u64, u64) {
+        lock(&self.front).shard.cache().counters()
     }
 
-    /// The admission queue's capacity bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// A point-in-time snapshot of serving statistics. Cheap enough to
-    /// poll from a monitoring thread while the runtime serves.
-    pub fn stats(&self) -> RuntimeStats {
-        let s = self.shared.lock().unwrap();
-        let (cache_hits, cache_misses) = self.cache.counters();
-        let (pool_hits, pool_misses) = self.pool.counters();
-        RuntimeStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: s.completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            rejected_by_class: [
-                self.rejected_by_class[0].load(Ordering::Relaxed),
-                self.rejected_by_class[1].load(Ordering::Relaxed),
-                self.rejected_by_class[2].load(Ordering::Relaxed),
-            ],
-            failed: s.failed,
-            per_kind: s.per_kind,
-            full_loads: s.full_loads,
-            partial_switches: s.partial_switches,
-            frames_written: s.frames_written,
-            reconfig_time: s.reconfig_time,
-            dma_time: s.dma_time,
-            execute_time: s.execute_time,
-            virtual_makespan: s
-                .device_busy
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(SimDuration::ZERO),
-            pipeline_beats: s.pipeline_beats,
-            pipeline_drains: s.pipeline_drains,
-            stage_time: s.stage_time,
-            window_time: s.window_time,
-            overlap_saved: s.overlap_saved,
-            laned_passes: s.laned_passes,
-            scalar_passes: s.scalar_passes,
-            laned_jobs: s.laned_jobs,
-            upsets_injected: s.upsets_injected,
-            upsets_stealthy: s.upsets_stealthy,
-            corrupt_executes: s.corrupt_executes,
-            detected_corruptions: s.detected_corruptions,
-            silent_corruptions: s.silent_corruptions,
-            guard_scrubs: s.guard_scrubs,
-            guard_repairs: s.guard_repairs,
-            scrub_time: s.scrub_time,
-            check_time: s.check_time,
-            wasted_time: s.wasted_time,
-            retries: s.retries,
-            faulted: s.faulted,
-            quarantined_devices: s.quarantined_devices,
-            detection_latency: s.detection_latency,
-            detected_upsets: s.detected_upsets,
-            device_scrub_frames: s.device_scrub_frames.clone(),
-            busy_total: s.device_busy.iter().copied().sum(),
-            pool_hits,
-            pool_misses,
-            cache_hits,
-            cache_misses,
-            latency: s.latency.clone(),
-            virt_latency: s.virt_latency.clone(),
-            wall_elapsed: self.started.elapsed(),
-        }
-    }
-
-    /// Graceful shutdown: stop admissions, drain every accepted job,
-    /// join the workers, and return the final statistics. No accepted
-    /// job is lost.
-    pub fn shutdown(mut self) -> RuntimeStats {
-        self.queue.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.stats()
+    /// Serve every accepted job to completion and return the final
+    /// counters. Outstanding handles still collect their results.
+    pub fn shutdown(self) -> ShardStats {
+        let mut f = lock(&self.front);
+        while f.step().is_some() {}
+        f.shard.stats().clone()
     }
 }
 
-impl Drop for Runtime {
-    /// Dropping the runtime without [`Runtime::shutdown`] still drains
-    /// accepted jobs and joins the workers.
+/// The caller's side of a submitted job: await the result.
+#[derive(Debug)]
+pub struct JobHandle {
+    id: u64,
+    front: Arc<Mutex<Front>>,
+    waited: bool,
+}
+
+impl JobHandle {
+    /// The runtime-assigned job id (admission order).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Block until the job retires, running the shard's virtual clock
+    /// forward as far as that takes. `Err(Faulted)` when the guard gave
+    /// up on the job after its retry budget.
+    pub fn wait(mut self) -> Result<ShardCompletion, RuntimeError> {
+        let mut f = lock(&self.front);
+        let done = loop {
+            if let Some(done) = f.done.remove(&self.id) {
+                break done;
+            }
+            f.step().expect("an admitted job always retires");
+        };
+        let retries = f.shard.config().guard.max_retries;
+        drop(f);
+        self.waited = true;
+        if done.faulted {
+            Err(RuntimeError::Faulted { retries })
+        } else {
+            Ok(done)
+        }
+    }
+}
+
+impl Drop for JobHandle {
+    /// A handle dropped unwaited discards its job's result.
     fn drop(&mut self) {
-        self.queue.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if self.waited {
+            return;
+        }
+        if let Ok(mut f) = self.front.lock() {
+            if f.done.remove(&self.id).is_none() {
+                f.abandoned.insert(self.id);
+            }
         }
     }
 }
@@ -353,6 +236,7 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use atlantis_apps::jobs::JobSpec;
+    use atlantis_simcore::SimDuration;
 
     fn small_system(acbs: usize) -> AtlantisSystem {
         AtlantisSystem::builder().with_acbs(acbs).build()
@@ -361,7 +245,7 @@ mod tests {
     #[test]
     fn refuses_a_system_without_acbs() {
         let system = AtlantisSystem::builder().with_acbs(0).with_aibs(1).build();
-        match Runtime::serve(system, RuntimeConfig::default()) {
+        match Runtime::serve(system, ShardConfig::host()) {
             Err(RuntimeError::NoDevices) => {}
             other => panic!("expected NoDevices, got {other:?}"),
         }
@@ -369,7 +253,7 @@ mod tests {
 
     #[test]
     fn serves_a_mixed_workload_to_completion() {
-        let rt = Runtime::serve(small_system(2), RuntimeConfig::default()).unwrap();
+        let rt = Runtime::serve(small_system(2), ShardConfig::host()).unwrap();
         let handles: Vec<_> = (0..24)
             .map(|i| {
                 rt.submit(JobRequest::new(i % 3, JobSpec::mixed(u64::from(i))))
@@ -378,20 +262,22 @@ mod tests {
             .collect();
         for h in handles {
             let r = h.wait().unwrap();
-            assert!(r.timings.total_virtual() > SimDuration::ZERO);
+            assert!(r.service() > SimDuration::ZERO);
+            assert!(r.done > r.started);
         }
         let stats = rt.shutdown();
         assert_eq!(stats.completed, 24);
-        assert_eq!(stats.failed, 0);
+        assert_eq!(stats.guard.faulted, 0);
         assert_eq!(stats.per_kind.iter().sum::<u64>(), 24);
-        assert!(stats.virtual_makespan > SimDuration::ZERO);
-        assert!(stats.latency.count() == 24);
+        assert!(stats.makespan() > SimDuration::ZERO);
+        assert_eq!(stats.latency.count(), 24);
+        assert!(stats.pipeline.beats > 0);
     }
 
     #[test]
     fn results_are_deterministic_across_policies_and_devices() {
         let specs: Vec<_> = (0..16).map(JobSpec::mixed).collect();
-        let run = |config: RuntimeConfig, acbs: usize| -> Vec<(u64, u64)> {
+        let run = |config: ShardConfig, acbs: usize| -> Vec<(u64, u64)> {
             let rt = Runtime::serve(small_system(acbs), config).unwrap();
             let handles: Vec<_> = specs
                 .iter()
@@ -406,28 +292,33 @@ mod tests {
             out.sort_unstable();
             out
         };
-        let fifo = run(RuntimeConfig::fifo(), 1);
-        let aware = run(RuntimeConfig::default(), 3);
+        let fifo = ShardConfig {
+            pick: PickConfig::fifo(),
+            pipeline: Beat::Serial,
+            ..ShardConfig::host()
+        };
         assert_eq!(
-            fifo, aware,
-            "checksums must not depend on policy or device count"
+            run(fifo, 1),
+            run(ShardConfig::host(), 3),
+            "checksums must not depend on policy, beat or device count"
         );
     }
 
     #[test]
     fn high_priority_jobs_are_tracked_per_kind() {
-        let rt = Runtime::serve(small_system(1), RuntimeConfig::default()).unwrap();
+        let rt = Runtime::serve(small_system(1), ShardConfig::host()).unwrap();
         let h = rt
             .submit(JobRequest::new(7, JobSpec::trt(1)).with_priority(Priority::High))
             .unwrap();
         let r = h.wait().unwrap();
-        assert_eq!(r.client, 7);
+        assert_eq!(r.tenant, 7);
+        assert_eq!(r.priority, Priority::High);
         let stats = rt.shutdown();
         assert_eq!(stats.per_kind[0], 1);
     }
 
-    /// The retry-after hint divides by the workers still serving: a
-    /// quarantined device no longer drains the queue.
+    /// The retry-after hint divides by the boards still serving: a
+    /// quarantined board no longer drains the queue.
     #[test]
     fn quarantine_lowers_the_retry_after_divisor() {
         let guard = GuardConfig {
@@ -438,39 +329,66 @@ mod tests {
             retry_backoff: SimDuration::from_micros(10),
             ..GuardConfig::protected()
         };
-        let config = RuntimeConfig {
+        let config = ShardConfig {
             guard,
             queue_capacity: 100,
-            ..RuntimeConfig::default()
+            ..ShardConfig::host()
         };
         let rt = Runtime::serve(small_system(2), config).unwrap();
-        assert_eq!(rt.queue.workers(), 2);
         let handles: Vec<_> = (0..100)
             .map(|i| rt.submit(JobRequest::new(0, JobSpec::mixed(i))).unwrap())
             .collect();
         for h in handles {
             let _ = h.wait();
         }
-        let stats = rt.stats();
-        assert_eq!(stats.quarantined_devices, 1);
-        assert_eq!(rt.queue.workers(), 2 - stats.quarantined_devices as usize);
+        assert_eq!(rt.stats().quarantined, 1);
+        let f = rt.front.lock().unwrap();
+        assert_eq!(f.shard.active_boards(), 1);
+        let ewma = f.shard.service_ewma().as_picos();
+        assert!(ewma > 0);
+        assert_eq!(f.shard.retry_after(4), SimDuration::from_picos(ewma * 4));
     }
 
     #[test]
-    fn shutdown_then_submit_is_rejected() {
-        let rt = Runtime::serve(small_system(1), RuntimeConfig::default()).unwrap();
-        let queue = Arc::clone(&rt.queue);
+    fn a_rejected_submit_runs_the_clock_to_the_next_completion() {
+        let config = ShardConfig {
+            queue_capacity: 1,
+            ..ShardConfig::host()
+        };
+        let rt = Runtime::serve(small_system(1), config).unwrap();
+        let mut handles = Vec::new();
+        let reject = loop {
+            match rt.submit(JobRequest::new(0, JobSpec::trt(handles.len() as u64))) {
+                Ok(h) => handles.push(h),
+                Err(RuntimeError::Overloaded(r)) => break r,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        };
+        assert_eq!(reject.capacity, 1);
+        let s = rt.stats();
+        assert_eq!(s.rejected, 1);
+        assert_eq!(s.completed, 1, "the rejection served one job");
+        // The freed slot admits the next submission without waiting.
+        handles.push(rt.submit(JobRequest::new(0, JobSpec::trt(99))).unwrap());
+        for h in handles {
+            h.wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn handles_outlive_shutdown_and_dropped_handles_leave_nothing_behind() {
+        let rt = Runtime::serve(small_system(1), ShardConfig::host()).unwrap();
+        let kept = rt.submit(JobRequest::new(0, JobSpec::trt(1))).unwrap();
+        drop(rt.submit(JobRequest::new(0, JobSpec::trt(2))).unwrap());
+        let front = Arc::clone(&rt.front);
         let stats = rt.shutdown();
-        assert_eq!(stats.completed, 0);
-        // The queue object itself refuses pushes after close.
-        let (tx, _rx) = mpsc::channel();
-        let err = queue.push(QueuedJob {
-            id: 0,
-            request: JobRequest::new(0, JobSpec::trt(0)),
-            submitted: Instant::now(),
-            retries: 0,
-            reply: tx,
-        });
-        assert!(matches!(err, Err(RuntimeError::ShuttingDown)));
+        assert_eq!(stats.completed, 2);
+        {
+            let f = front.lock().unwrap();
+            assert_eq!(f.done.len(), 1, "only the kept handle's result waits");
+            assert!(f.abandoned.is_empty());
+        }
+        assert_eq!(kept.wait().unwrap().spec, JobSpec::trt(1));
+        assert!(front.lock().unwrap().done.is_empty());
     }
 }

@@ -1,6 +1,4 @@
-//! The one scheduling core of the threaded [`Runtime`](crate::Runtime)
-//! (which wraps it in a mutex and a condvar) and the virtual-time
-//! [`ShardScheduler`](crate::ShardScheduler) (which holds it directly):
+//! The scheduling core of the [`ShardScheduler`](crate::ShardScheduler):
 //! the bounded three-class admission queue, the reconfiguration-aware
 //! pick, and the service estimate behind the `retry_after` hint.
 //!
@@ -148,11 +146,11 @@ impl<T: Schedulable> SchedCore<T> {
         self.classes.iter().find_map(|c| c.front()).map(|s| &s.item)
     }
 
-    /// Take the next item for a board with `affinity` — see the module
-    /// docs for the rule. `None` when the queue is empty.
-    pub fn pick(&mut self, affinity: &Affinity) -> Option<T> {
+    /// Where [`pick`](Self::pick) would take from: `(class, position)`.
+    fn choice(&self, affinity: &Affinity) -> Option<(usize, usize)> {
         let pick = self.pick;
-        let class = self.classes.iter_mut().find(|c| !c.is_empty())?;
+        let ci = self.classes.iter().position(|c| !c.is_empty())?;
+        let class = &self.classes[ci];
         if let Some(kind) = affinity.prefer(pick.batch_window) {
             let head_aged = class.front().is_some_and(|s| s.skips >= pick.aging_limit);
             if !head_aged {
@@ -161,14 +159,36 @@ impl<T: Schedulable> SchedCore<T> {
                     .take(pick.scan_depth)
                     .position(|s| s.item.kind() == kind);
                 if let Some(j) = j {
-                    for s in class.iter_mut().take(j) {
-                        s.skips += 1;
-                    }
-                    return class.remove(j).map(|s| s.item);
+                    return Some((ci, j));
                 }
             }
         }
-        class.pop_front().map(|s| s.item)
+        Some((ci, 0))
+    }
+
+    /// The item [`pick`](Self::pick) would take for a board with
+    /// `affinity`, left in place.
+    pub(crate) fn peek(&self, affinity: &Affinity) -> Option<&T> {
+        self.choice(affinity).map(|(c, j)| &self.classes[c][j].item)
+    }
+
+    /// Take the next item for a board with `affinity` — see the module
+    /// docs for the rule. `None` when the queue is empty.
+    pub fn pick(&mut self, affinity: &Affinity) -> Option<T> {
+        let (ci, j) = self.choice(affinity)?;
+        let class = &mut self.classes[ci];
+        for s in class.iter_mut().take(j) {
+            s.skips += 1;
+        }
+        class.remove(j).map(|s| s.item)
+    }
+
+    /// Every queued item, urgent-most class first and oldest first within
+    /// a class — the order a pick without affinity serves them in.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.classes
+            .iter_mut()
+            .flat_map(|c| c.iter_mut().map(|s| &mut s.item))
     }
 
     /// Every queued item, least-urgent class first and newest first

@@ -1,40 +1,75 @@
-//! The embeddable per-shard scheduler: a deterministic, virtual-time
-//! twin of the threaded [`Runtime`](crate::Runtime).
+//! The serving engine: one simulated host on a discrete-event virtual
+//! clock. It is the only serving loop in the workspace — the cluster
+//! embeds one [`ShardScheduler`] per host, and [`Runtime`](crate::Runtime)
+//! is a blocking front over one.
 //!
-//! The threaded runtime serves real client threads — wall clocks,
-//! condvars, OS scheduling — which is the right shape for a live
-//! process but the wrong shape for a cluster simulation that must
-//! produce byte-identical statistics on every run. A [`ShardScheduler`]
-//! is one simulated host: a backplane of ACB+AIB board pairs (payload
-//! in and result out stream over the shard's own
-//! [`Aab`](atlantis_backplane::Aab) connections, per the paper's §2.3
-//! topology) driving the same [`SchedCore`] the threaded workers share
-//! — the bounded three-class admission queue, the reconfiguration-aware
-//! pick (bounded look-ahead, bounded batch window, bounded skip aging)
-//! and the service estimate behind `retry_after` — plus per-board
-//! [`Coprocessor`](atlantis_core::Coprocessor) hardware task switching
-//! against the shared [`BitstreamCache`], and
-//! [`WorkloadContext`](atlantis_apps::jobs::WorkloadContext) execution
-//! for bit-exact outcomes. What stays shard-side is the clock, idle-board
-//! placement and the steal helpers, which read the core's queue.
+//! A shard drives its boards from one [`SchedCore`] — the bounded
+//! three-class admission queue, the reconfiguration-aware pick (bounded
+//! look-ahead, bounded batch window, bounded skip aging) and the service
+//! estimate behind `retry_after` — plus per-board
+//! [`Coprocessor`] hardware task switching against the shared
+//! [`BitstreamCache`], and [`WorkloadContext`] execution for bit-exact
+//! outcomes. What stays shard-side is the clock, idle-board placement
+//! and the steal helpers, which read the core's queue.
 //!
-//! Everything advances on an explicit discrete-event clock: `submit`
-//! admits (or sheds) at a virtual instant, `advance` retires
-//! completions up to an instant and back-fills freed boards in
+//! How payloads reach a board is fixed by how the shard is built:
+//!
+//! * [`ShardScheduler::new`] — ACB+AIB board pairs on the shard's own
+//!   [`Aab`] backplane; payload in and result out stream over each
+//!   pair's connection (the paper's §2.3 topology).
+//! * [`ShardScheduler::host`] — the ACBs of an [`AtlantisSystem`];
+//!   payload and result stream through each board's PLX9080 (Table 1)
+//!   out of and into one reused host buffer per board.
+//!
+//! How a board's time is charged is the configured [`Beat`]:
+//!
+//! * **Serial** — each job end to end: payload in, a hardware task
+//!   switch when the design is not loaded, execute, result out. The
+//!   board is occupied for the sum.
+//! * **Pipelined** — a three-stage pipeline over the ping/pong halves of
+//!   the board's job slots: while job *N* executes, job *N+1*'s payload
+//!   streams in on DMA channel 0 and job *N−1*'s result streams out on
+//!   channel 1, and each beat is charged the
+//!   [overlap window](OverlapConfig::window) of the three stage times.
+//!   The pipeline only holds jobs for the loaded design: a job that
+//!   needs a switch waits on its board while the pipeline drains, and
+//!   the reconfiguration is charged serially (the fabric is being
+//!   rewritten). On the backplane both directions share the pair's one
+//!   connection, so there a prefetch queues behind the writeback.
+//!
+//! With `lanes > 1`, a board that picks a TRT job whose outcome is not
+//! yet known computes it together with up to `lanes − 1` queued TRT jobs
+//! in one laned [`WorkloadContext::execute_batch`] pass and caches each
+//! outcome on its queue entry. Outcomes are pure functions of the spec
+//! and scheduling never looks at them, so lanes change host time only.
+//!
+//! With the guard active ([`GuardConfig`]), upsets arrive on each
+//! board's busy clock, every beat runs the detection ladder, jobs in
+//! flight at a detection are requeued under a bounded retry budget, and
+//! a board that keeps failing is quarantined through
+//! [`ShardScheduler::quarantine_board`] — the same quarantine the
+//! cluster's degradation plan uses.
+//!
+//! `submit` admits (or sheds) at a virtual instant, `advance` retires
+//! board events up to an instant and back-fills freed boards in
 //! deterministic `(time, board index)` order. Two runs over the same
 //! submission sequence produce identical completions, identical
 //! histograms, identical everything — the property the cluster layer's
-//! determinism fingerprints assert.
+//! determinism fingerprints and the guard's replay test assert.
 
 use crate::cache::BitstreamCache;
 use crate::error::RuntimeError;
+use crate::guard::{GuardConfig, GuardState};
 use crate::job::Priority;
 use crate::sched::{Affinity, PickConfig, SchedCore, Schedulable};
-use crate::stats::LogHistogram;
-use atlantis_apps::jobs::{JobKind, JobSpec, WorkloadContext};
+use crate::stats::ShardStats;
+use atlantis_apps::jobs::{JobKind, JobOutcome, JobSpec, WorkloadContext};
 use atlantis_backplane::{Aab, BackplaneKind, ConnectionId};
-use atlantis_core::Coprocessor;
+use atlantis_board::{Acb, SlotHalf};
+use atlantis_core::coprocessor::TaskError;
+use atlantis_core::{AtlantisSystem, Coprocessor};
 use atlantis_fabric::Device;
+use atlantis_pci::{DmaChannel, DmaDirection, Driver, OverlapConfig};
 use atlantis_simcore::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -81,28 +116,71 @@ impl FabricKind {
     }
 }
 
+/// How a board's time is charged — see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Beat {
+    /// Each job end to end: the board is occupied for the sum of its
+    /// stages.
+    #[default]
+    Serial,
+    /// The three-stage DMA/compute pipeline; each beat is charged the
+    /// overlap window of its stages under this timing model.
+    Pipelined(OverlapConfig),
+}
+
 /// Tunables for one simulated shard host.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// ACB+AIB board pairs on the shard's backplane.
+    /// Boards on the shard. A host-built shard takes its boards from the
+    /// system and ignores this.
     pub boards: usize,
     /// The fabric family of every board on this shard. Heterogeneous
     /// *clusters* mix shards of different kinds; one shard is uniform.
     pub fabric: FabricKind,
     /// Hard bound on queued (not yet running) jobs (zero is clamped to
-    /// one, as in the threaded runtime).
+    /// one).
     pub queue_capacity: usize,
-    /// The reconfiguration-aware pick (the threaded runtime's).
+    /// The reconfiguration-aware pick; [`PickConfig::fifo`] is strict
+    /// per-class FIFO.
     pub pick: PickConfig,
+    /// How a board's time is charged: [`Beat::Serial`] or the pipelined
+    /// beat.
+    pub pipeline: Beat,
+    /// Max TRT jobs one laned execute pass computes (`1` disables
+    /// gathering). Changes host time only — see the module docs.
+    pub lanes: usize,
+    /// Reliability policy: fault injection, the detection ladder, retry
+    /// and quarantine. [`GuardConfig::disabled`] injects and checks
+    /// nothing.
+    pub guard: GuardConfig,
 }
 
 impl Default for ShardConfig {
+    /// The cluster shape: two serial-beat ORCA boards, a 64-job queue,
+    /// no lanes, no guard.
     fn default() -> Self {
         ShardConfig {
             boards: 2,
             fabric: FabricKind::Orca,
             queue_capacity: 64,
             pick: PickConfig::default(),
+            pipeline: Beat::Serial,
+            lanes: 1,
+            guard: GuardConfig::disabled(),
+        }
+    }
+}
+
+impl ShardConfig {
+    /// The host serving shape [`Runtime::serve`](crate::Runtime::serve)
+    /// is built for: the pipelined beat under the default overlap model,
+    /// 8 lanes and a 256-job queue.
+    pub fn host() -> Self {
+        ShardConfig {
+            queue_capacity: 256,
+            pipeline: Beat::Pipelined(OverlapConfig::default()),
+            lanes: 8,
+            ..Self::default()
         }
     }
 }
@@ -120,9 +198,9 @@ pub struct ShardJob {
     pub spec: JobSpec,
 }
 
-/// Why a shard refused a job — the virtual-clock analogue of
-/// [`RuntimeError::Overloaded`], carrying the same context (depth,
-/// class, retry-after) in virtual time.
+/// Why a shard refused a job: the queue depth, the refused class and a
+/// virtual retry-after hint. [`RuntimeError::Overloaded`] carries it to
+/// [`Runtime`](crate::Runtime) callers.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardReject {
     /// The queue capacity that was exhausted.
@@ -157,9 +235,10 @@ pub struct ShardCompletion {
     pub submitted: SimTime,
     /// When a board picked it up.
     pub started: SimTime,
-    /// When its result finished streaming off the backplane.
+    /// When the job retired: its result streamed out (and, with the
+    /// guard active, passed the detection ladder).
     pub done: SimTime,
-    /// Virtual payload-in + result-out time on the shard's backplane.
+    /// Virtual payload-in + result-out time.
     pub dma: SimDuration,
     /// Virtual reconfiguration time (zero on an affinity hit).
     pub reconfig: SimDuration,
@@ -169,6 +248,9 @@ pub struct ShardCompletion {
     /// *shard cache hit*: the design was already on the board's fabric —
     /// the affinity the cluster router exists to exploit.
     pub switched: bool,
+    /// The guard gave up on the job after its retry budget: checksum,
+    /// cycles and timings are zero and the job has no result.
+    pub faulted: bool,
 }
 
 impl ShardCompletion {
@@ -182,80 +264,142 @@ impl ShardCompletion {
         self.done.since(self.submitted)
     }
 
-    /// Virtual time the job occupied its board.
+    /// Virtual stage time attributed to the job. On the serial beat
+    /// without the guard this is exactly `done − started`; a pipelined
+    /// job shares its beats with its neighbours.
     pub fn service(&self) -> SimDuration {
         self.dma + self.reconfig + self.execute
     }
 }
 
-/// Deterministic counters of one shard. Every field derives from the
-/// virtual clock, so fixed-seed campaigns fingerprint byte-identically.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardStats {
-    /// Jobs admitted.
-    pub submitted: u64,
-    /// Jobs retired.
-    pub completed: u64,
-    /// Jobs refused with [`ShardReject`].
-    pub rejected: u64,
-    /// Refusals per priority class.
-    pub rejected_by_class: [u64; 3],
-    /// Completions per workload kind (indexed like [`JobKind::ALL`]).
-    pub per_kind: [u64; 4],
-    /// Jobs served without a hardware task switch — the shard's
-    /// bitstream-affinity hits.
-    pub affinity_hits: u64,
-    /// Full FPGA configurations across the shard's boards.
-    pub full_loads: u64,
-    /// Partial-reconfiguration switches across the shard's boards.
-    pub partial_switches: u64,
-    /// Virtual time spent reconfiguring.
-    pub reconfig_time: SimDuration,
-    /// Virtual time payloads and results spent on the backplane.
-    pub dma_time: SimDuration,
-    /// Virtual execution time.
-    pub execute_time: SimDuration,
-    /// Per-board busy time.
-    pub board_busy: Vec<SimDuration>,
-    /// End-to-end virtual latency histogram (picoseconds).
-    pub latency: LogHistogram,
-    /// Queue-wait histogram (picoseconds).
-    pub queue_wait: LogHistogram,
-    /// Boards quarantined out of the advertised capacity.
-    pub quarantined: u64,
-    /// The latest completion instant seen.
-    pub last_done: SimTime,
+/// How payloads reach a board and results leave it.
+#[derive(Debug)]
+enum Link {
+    /// The pair's full-width connection on the shard's backplane.
+    Aab(ConnectionId),
+    /// Host PCI through the board's PLX9080, staging through one reused
+    /// host buffer; `seq` rotates the board's job slots.
+    Pci {
+        driver: Box<Driver<Acb>>,
+        buf: Vec<u8>,
+        seq: usize,
+    },
 }
 
-impl ShardStats {
-    /// Fraction of completions served without a task switch.
-    pub fn affinity_hit_rate(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
+impl Link {
+    /// The local address of the board's next job slot: whole slots for
+    /// the serial beat, alternating ping/pong halves for the pipeline
+    /// (the rotation spans ≥ 4 halves, so a prefetch never overwrites a
+    /// payload still executing or a result awaiting writeback). The
+    /// backplane path has no local addresses.
+    fn next_slot(&mut self, halves: bool) -> u64 {
+        let Link::Pci { driver, seq, .. } = self else {
+            return 0;
+        };
+        let acb = driver.target();
+        let i = *seq;
+        *seq = seq.wrapping_add(1);
+        if halves {
+            let i = i % (2 * acb.job_slots());
+            let half = if i.is_multiple_of(2) {
+                SlotHalf::Ping
+            } else {
+                SlotHalf::Pong
+            };
+            acb.job_slot_half_addr(i / 2, half)
         } else {
-            self.affinity_hits as f64 / self.completed as f64
+            acb.job_slot_addr(i % acb.job_slots())
+        }
+        .expect("slot index in range")
+    }
+}
+
+/// A job on a board: its computed outcome and the stage time charged to
+/// it so far.
+#[derive(Debug)]
+struct Stage {
+    entry: ShardEntry,
+    started: SimTime,
+    checksum: u64,
+    cycles: u64,
+    execute: SimDuration,
+    reconfig: SimDuration,
+    switched: bool,
+    /// The job slot its payload and result use.
+    addr: u64,
+    dma_in: SimDuration,
+    /// Ground truth: it executed on a corrupt configuration. Only the
+    /// `silent_corruptions` counter reads it — never the detectors.
+    corrupt: bool,
+}
+
+impl Stage {
+    fn completion(self, board: usize, dma_out: SimDuration) -> ShardCompletion {
+        let job = self.entry.job;
+        ShardCompletion {
+            id: job.id,
+            tenant: job.tenant,
+            priority: job.priority,
+            spec: job.spec,
+            board,
+            checksum: self.checksum,
+            cycles: self.cycles,
+            submitted: self.entry.submitted,
+            started: self.started,
+            // Set when the board's occupancy closes.
+            done: self.started,
+            dma: self.dma_in + dma_out,
+            reconfig: self.reconfig,
+            execute: self.execute,
+            switched: self.switched,
+            faulted: false,
         }
     }
 }
 
-/// One board pair: the ACB-side coprocessor plus its reserved
-/// backplane connection to the AIB that feeds it.
+/// One board: its coprocessor, its DMA path and its serving state.
 #[derive(Debug)]
 struct Board {
     coproc: Coprocessor,
-    conn: ConnectionId,
+    link: Link,
     /// The design on the fabric and its batch length, as the pick sees
     /// them.
     affinity: Affinity,
     free_at: SimTime,
-    in_flight: Option<ShardCompletion>,
+    /// A beat (serial: a job) ends at `free_at`.
+    busy: bool,
+    /// Jobs retiring at `free_at`.
+    done: Vec<ShardCompletion>,
+    /// Suspect jobs handed back to the queue at `free_at`.
+    requeue: Vec<ShardEntry>,
+    /// Pipelined beat: payload on the board, executes next beat.
+    staged: Option<Stage>,
+    /// Pipelined beat: executed, result awaiting writeback.
+    executed: Option<Stage>,
+    /// Pipelined beat: the next pick needs another design, so the board
+    /// is draining its pipeline before switching.
+    draining: bool,
     quarantined: bool,
+    guard: GuardState,
 }
 
 impl Board {
-    /// Whether the board can take a job at `t`.
+    /// Whether the board can start a beat at `t`.
     fn idle(&self, t: SimTime) -> bool {
-        !self.quarantined && self.in_flight.is_none() && self.free_at <= t
+        !self.quarantined && !self.busy && self.free_at <= t
+    }
+
+    /// Whether the board holds pipelined work of its own to move.
+    fn has_work(&self) -> bool {
+        self.staged.is_some() || self.executed.is_some()
+    }
+
+    /// Jobs the board holds outside the queue.
+    fn holds(&self) -> usize {
+        self.done.len()
+            + self.requeue.len()
+            + usize::from(self.staged.is_some())
+            + usize::from(self.executed.is_some())
     }
 }
 
@@ -268,6 +412,22 @@ struct ShardEntry {
     /// cross-shard hop transfer lands, and a board that picks one up
     /// earlier waits for the data (charged as DMA time).
     ready_at: SimTime,
+    /// The outcome, once a laned pass has computed it.
+    outcome: Option<JobOutcome>,
+    /// Times the guard has requeued the job.
+    retries: u32,
+}
+
+impl ShardEntry {
+    fn new(job: ShardJob, submitted: SimTime, ready_at: SimTime) -> Self {
+        ShardEntry {
+            job,
+            submitted,
+            ready_at,
+            outcome: None,
+            retries: 0,
+        }
+    }
 }
 
 impl Schedulable for ShardEntry {
@@ -319,33 +479,79 @@ impl ShardScheduler {
     /// `cache` is the cluster-wide fitted-bitstream cache; call
     /// [`BitstreamCache::prefit_all`] once before sharing it.
     pub fn new(cfg: ShardConfig, cache: Arc<BitstreamCache>) -> Result<Self, RuntimeError> {
+        Self::build(cfg, cache, Vec::new())
+    }
+
+    /// Build a host shard over `system`'s ACBs: one board per ACB
+    /// (`cfg.boards` is replaced by their count), each streaming
+    /// payloads and results through its own PLX9080 driver. Every
+    /// workload design is fitted for `cfg.fabric` up front.
+    ///
+    /// Fails with [`RuntimeError::NoDevices`] when the system has no
+    /// ACBs, and propagates fitter errors.
+    pub fn host(cfg: ShardConfig, system: AtlantisSystem) -> Result<Self, RuntimeError> {
+        let (_host, acbs, _aibs) = system.into_boards();
+        if acbs.is_empty() {
+            return Err(RuntimeError::NoDevices);
+        }
+        let cache = Arc::new(BitstreamCache::new(cfg.fabric.device()));
+        cache.prefit_all().map_err(TaskError::Fit)?;
+        let boards = acbs.len();
+        Self::build(ShardConfig { boards, ..cfg }, cache, acbs)
+    }
+
+    /// Boards `0..drivers.len()` stream over their PCI driver, the rest
+    /// over a backplane pair connection.
+    fn build(
+        cfg: ShardConfig,
+        cache: Arc<BitstreamCache>,
+        drivers: Vec<Driver<Acb>>,
+    ) -> Result<Self, RuntimeError> {
         if cfg.boards == 0 {
             return Err(RuntimeError::NoDevices);
         }
         // Two extra slots host the reserved cluster-hop connection.
         let mut aab = Aab::new(BackplaneKind::Configurable, 2 * cfg.boards + 2);
+        let mut drivers = drivers.into_iter();
         let mut boards = Vec::with_capacity(cfg.boards);
         let device = cfg.fabric.device();
         for i in 0..cfg.boards {
-            let conn = aab
-                .connect(2 * i, 2 * i + 1, aab.config().channels())
-                .expect("fresh backplane has free channels");
+            let link = match drivers.next() {
+                Some(driver) => Link::Pci {
+                    driver: Box::new(driver),
+                    buf: Vec::new(),
+                    seq: 0,
+                },
+                None => Link::Aab(
+                    aab.connect(2 * i, 2 * i + 1, aab.config().channels())
+                        .expect("fresh backplane has free channels"),
+                ),
+            };
             boards.push(Board {
                 coproc: Coprocessor::new(device.clone()),
-                conn,
+                link,
                 affinity: Affinity::default(),
                 free_at: SimTime::ZERO,
-                in_flight: None,
+                busy: false,
+                done: Vec::new(),
+                requeue: Vec::new(),
+                staged: None,
+                executed: None,
+                draining: false,
                 quarantined: false,
+                guard: GuardState::new(cfg.guard, i),
             });
         }
         let hop_conn = aab
             .connect(2 * cfg.boards, 2 * cfg.boards + 1, aab.config().channels())
             .expect("fresh backplane has free channels");
-        let stats = ShardStats {
+        let mut stats = ShardStats {
             board_busy: vec![SimDuration::ZERO; cfg.boards],
             ..ShardStats::default()
         };
+        if cfg.guard.is_active() {
+            stats.guard.scrub_frames = vec![0; cfg.boards];
+        }
         Ok(ShardScheduler {
             cfg,
             boards,
@@ -363,12 +569,11 @@ impl ShardScheduler {
     /// bound is reached. Admission immediately back-fills any idle
     /// board.
     pub fn submit(&mut self, now: SimTime, job: ShardJob) -> Result<(), ShardReject> {
-        let entry = ShardEntry {
-            job,
-            submitted: now,
-            ready_at: SimTime::ZERO,
-        };
-        if self.core.push(entry).is_err() {
+        if self
+            .core
+            .push(ShardEntry::new(job, now, SimTime::ZERO))
+            .is_err()
+        {
             self.stats.rejected += 1;
             self.stats.rejected_by_class[job.priority.index()] += 1;
             return Err(ShardReject {
@@ -391,11 +596,7 @@ impl ShardScheduler {
     /// the donor already did, and the cluster's steal ledger reconciles
     /// the transfer. Returns `false` (job untouched) on a full queue.
     pub fn submit_stolen(&mut self, now: SimTime, stolen: StolenJob, ready_at: SimTime) -> bool {
-        let entry = ShardEntry {
-            job: stolen.job,
-            submitted: stolen.submitted,
-            ready_at,
-        };
+        let entry = ShardEntry::new(stolen.job, stolen.submitted, ready_at);
         if self.core.push(entry).is_err() {
             return false;
         }
@@ -514,36 +715,24 @@ impl ShardScheduler {
         SimDuration::from_picos(self.core.retry_after(depth, self.active_boards()))
     }
 
-    /// Retire every completion at or before `now` (cascading freed
-    /// boards onto queued work at the exact completion instants) and
-    /// return them ordered by `(done, board)`.
+    /// Process every board event at or before `now` — retiring its jobs
+    /// and cascading the freed board onto queued work at the exact event
+    /// instant — and return the retired jobs ordered by `(done, board)`.
     pub fn advance(&mut self, now: SimTime) -> Vec<ShardCompletion> {
         let mut out = Vec::new();
-        loop {
-            let next = self
-                .boards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| b.in_flight.as_ref().map(|f| (f.done, i)))
-                .filter(|&(done, _)| done <= now)
-                .min();
-            let Some((done, i)) = next else { break };
-            let fin = self.boards[i].in_flight.take().expect("board has work");
-            self.note_completion(&fin);
-            out.push(fin);
-            self.schedule(done);
+        while let Some((at, i)) = self.next_event().filter(|&(at, _)| at <= now) {
+            self.retire(i, &mut out);
+            self.schedule(at);
         }
         self.schedule(now);
         out
     }
 
-    /// The earliest in-flight completion instant, if any — the shard's
+    /// The earliest pending board event — a completion, or on the
+    /// pipelined beat the end of a beat — if any: the shard's
     /// contribution to the cluster's event horizon.
     pub fn next_completion(&self) -> Option<SimTime> {
-        self.boards
-            .iter()
-            .filter_map(|b| b.in_flight.as_ref().map(|f| f.done))
-            .min()
+        self.next_event().map(|(at, _)| at)
     }
 
     /// Run the shard to idle: retire everything queued and in flight.
@@ -562,9 +751,10 @@ impl ShardScheduler {
     /// immediately — boot precedes the serving clock. Returns `false`
     /// for an unknown, busy, or quarantined board.
     pub fn preload(&mut self, board: usize, kind: JobKind) -> bool {
-        if board >= self.boards.len()
-            || self.boards[board].quarantined
-            || self.boards[board].in_flight.is_some()
+        if self
+            .boards
+            .get(board)
+            .is_none_or(|b| b.quarantined || b.busy || b.has_work())
         {
             return false;
         }
@@ -575,8 +765,8 @@ impl ShardScheduler {
     }
 
     /// Quarantine a board (a guard capacity delta): it finishes its
-    /// in-flight job but is never scheduled again, shrinking the
-    /// shard's advertised capacity. Refuses to quarantine the last
+    /// current beat, hands any pipelined work back to the queue, and is
+    /// never scheduled again, shrinking the shard's advertised capacity. Refuses to quarantine the last
     /// active board — a shard always keeps serving. Returns whether the
     /// quarantine took effect.
     pub fn quarantine_board(&mut self, board: usize) -> bool {
@@ -617,9 +807,9 @@ impl ShardScheduler {
         self.core.capacity()
     }
 
-    /// Jobs currently executing on boards.
+    /// Jobs on boards rather than in the queue.
     pub fn in_flight(&self) -> usize {
-        self.boards.iter().filter(|b| b.in_flight.is_some()).count()
+        self.boards.iter().map(Board::holds).sum()
     }
 
     /// Outstanding work (queued + in flight) per active board — the
@@ -633,6 +823,17 @@ impl ShardScheduler {
         &self.stats
     }
 
+    /// The configuration the shard was built with (a host shard's
+    /// `boards` is its ACB count).
+    pub(crate) fn config(&self) -> &ShardConfig {
+        &self.cfg
+    }
+
+    /// The fitted-bitstream cache the boards load from.
+    pub(crate) fn cache(&self) -> &BitstreamCache {
+        &self.cache
+    }
+
     /// The shard's backplane (per-slot accounting lives here).
     pub fn backplane(&self) -> &Aab {
         &self.aab
@@ -640,96 +841,483 @@ impl ShardScheduler {
 
     // ---- internals -----------------------------------------------------
 
-    fn note_completion(&mut self, fin: &ShardCompletion) {
-        let s = &mut self.stats;
-        s.completed += 1;
-        s.per_kind[fin.spec.kind.index()] += 1;
-        if !fin.switched {
-            s.affinity_hits += 1;
-        }
-        s.latency.record_virtual(fin.latency());
-        s.queue_wait.record_virtual(fin.queue_wait());
-        s.last_done = s.last_done.max(fin.done);
-        self.core.note_service(fin.service().as_picos());
+    /// The earliest pending board event and its board.
+    fn next_event(&self) -> Option<(SimTime, usize)> {
+        self.boards
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.busy)
+            .map(|(i, b)| (b.free_at, i))
+            .min()
     }
 
-    /// Back-fill every board idle at `t` from the queue. Among idle
-    /// boards, prefer one whose fabric already holds the head job's
-    /// design (so two designs resident on two boards serve side by
-    /// side instead of ping-ponging); otherwise lowest index. Jobs are
-    /// then chosen by the priority-classed affinity pick.
+    /// Board `bi`'s occupancy ended: retire its jobs into `out` and hand
+    /// suspect jobs — and, once quarantined, its pipeline — back to the
+    /// queue.
+    fn retire(&mut self, bi: usize, out: &mut Vec<ShardCompletion>) {
+        let board = &mut self.boards[bi];
+        board.busy = false;
+        for fin in board.done.drain(..) {
+            if !fin.faulted {
+                let s = &mut self.stats;
+                s.completed += 1;
+                s.per_kind[fin.spec.kind.index()] += 1;
+                if !fin.switched {
+                    s.affinity_hits += 1;
+                }
+                s.latency.record_virtual(fin.latency());
+                s.queue_wait.record_virtual(fin.queue_wait());
+                s.last_done = s.last_done.max(fin.done);
+                self.core.note_service(fin.service().as_picos());
+            }
+            out.push(fin);
+        }
+        for entry in board.requeue.drain(..) {
+            self.core.push_front(entry);
+        }
+        if board.quarantined {
+            let held = [board.executed.take(), board.staged.take()];
+            for stage in held.into_iter().flatten() {
+                self.core.push_front(stage.entry);
+            }
+        }
+    }
+
+    /// Start every board that can move at `t`: an idle board takes queued
+    /// work, and on the pipelined beat a board also advances its own
+    /// pipeline while the queue is quiet. Among ready boards, prefer one
+    /// whose fabric already holds the head job's design (so two designs
+    /// resident on two boards serve side by side instead of
+    /// ping-ponging); otherwise lowest index. Jobs are then chosen by the
+    /// priority-classed affinity pick.
     fn schedule(&mut self, t: SimTime) {
-        while let Some(head) = self.core.head() {
-            let head_kind = head.job.spec.kind;
-            let Some(first) = self.boards.iter().position(|b| b.idle(t)) else {
+        loop {
+            let head = self.core.head().map(|e| e.job.spec.kind);
+            let ready = |b: &Board| b.idle(t) && (head.is_some() || b.has_work());
+            let Some(first) = self.boards.iter().position(ready) else {
                 break;
             };
-            let bi = self
-                .boards
-                .iter()
-                .position(|b| b.idle(t) && b.affinity.loaded == Some(head_kind))
+            let bi = head
+                .and_then(|k| {
+                    self.boards
+                        .iter()
+                        .position(|b| ready(b) && b.affinity.loaded == Some(k))
+                })
                 .unwrap_or(first);
-            let entry = self
-                .core
-                .pick(&self.boards[bi].affinity)
-                .expect("the queue has a head");
-            self.start(bi, t, entry);
+            match self.cfg.pipeline {
+                Beat::Serial => {
+                    let entry = self
+                        .core
+                        .pick(&self.boards[bi].affinity)
+                        .expect("the queue has a head");
+                    self.start(bi, t, entry);
+                }
+                Beat::Pipelined(overlap) => self.step(bi, t, overlap),
+            }
         }
     }
 
-    /// Serve `entry` on board `bi` starting at `t`: payload DMA over
-    /// the pair's backplane connection, hardware task switch, execute,
-    /// result DMA back. The board is occupied for the serial sum — the
-    /// shard engine models the paper's base (un-pipelined) serving path.
-    fn start(&mut self, bi: usize, t: SimTime, entry: ShardEntry) {
+    /// Serve `entry` end to end on board `bi` from `t`: payload in, task
+    /// switch, execute, result out — the board is occupied for the sum,
+    /// plus the detection ladder when the guard is active.
+    fn start(&mut self, bi: usize, t: SimTime, mut entry: ShardEntry) {
+        let busy0 = self.stats.board_busy[bi];
+        self.inject(bi);
         let spec = entry.job.spec;
         // A stolen job whose payload is still in flight over the hop
         // link stalls the board until it lands; the wait is charged as
         // DMA — the board is blocked on data either way.
-        let data_at = if entry.ready_at > t {
-            entry.ready_at
-        } else {
-            t
-        };
-        let (_, dma_in_done) = self
-            .aab
-            .transfer(self.boards[bi].conn, data_at, spec.payload_bytes())
-            .expect("pair connection is live");
+        let data_at = entry.ready_at.max(t);
+        let addr = self.boards[bi].link.next_slot(false);
+        let dma_in_done = self.dma(
+            bi,
+            data_at,
+            addr,
+            &spec,
+            DmaDirection::HostToBoard,
+            DmaChannel::Ch0,
+        );
         let dma_in = dma_in_done.since(t);
         let (reconfig, switched) = self.switch_board(bi, spec.kind);
-        let outcome = self.ctx.execute(&spec);
+        let outcome = self.outcome(&mut entry);
         let execute = self.cfg.fabric.scale_execute(outcome.compute);
+        let corruption = self.boards[bi].guard.corruption(&self.boards[bi].coproc);
         let exec_end = dma_in_done + reconfig + execute;
-        let (_, done) = self
-            .aab
-            .transfer(self.boards[bi].conn, exec_end, spec.result_bytes())
-            .expect("pair connection is live");
-        let dma = dma_in + done.since(exec_end);
+        let done = self.dma(
+            bi,
+            exec_end,
+            addr,
+            &spec,
+            DmaDirection::BoardToHost,
+            DmaChannel::Ch0,
+        );
+        let dma_out = done.since(exec_end);
 
         let s = &mut self.stats;
-        s.dma_time += dma;
+        s.dma_time += dma_in + dma_out;
         s.reconfig_time += reconfig;
         s.execute_time += execute;
         s.board_busy[bi] += done.since(t);
+        if corruption.is_some() {
+            s.guard.corrupt_executes += 1;
+        }
 
+        let stage = Stage {
+            entry,
+            started: t,
+            checksum: outcome.checksum ^ corruption.unwrap_or(0),
+            cycles: outcome.cycles,
+            execute,
+            reconfig,
+            switched,
+            addr,
+            dma_in,
+            corrupt: corruption.is_some(),
+        };
+        // The detection ladder runs before the result is released; a
+        // detection discards the execution and retries the job.
+        let (dirty, _) = self.guard_check(bi, Some((spec, stage.checksum)));
+        if dirty {
+            self.retry_detected(bi, t, stage.entry, dma_in + dma_out + execute);
+        } else {
+            self.complete(bi, stage, dma_out);
+        }
+        self.close(bi, t, busy0);
+    }
+
+    /// Move board `bi`'s pipeline at `t`: admit the job the pick would
+    /// take, unless it needs another design while jobs are in flight —
+    /// they must execute under the loaded design, so the board advances
+    /// a drain beat instead and the job stays queued, free for a board
+    /// that already holds its design. With nothing queued, advance a
+    /// beat to move in-flight work on.
+    fn step(&mut self, bi: usize, t: SimTime, overlap: OverlapConfig) {
         let board = &mut self.boards[bi];
-        board.free_at = done;
-        board.in_flight = Some(ShardCompletion {
-            id: entry.job.id,
-            tenant: entry.job.tenant,
-            priority: entry.job.priority,
-            spec,
-            board: bi,
+        let in_flight = board.has_work();
+        let next = self.core.peek(&board.affinity).map(|e| e.job.spec.kind);
+        match next {
+            Some(kind) if in_flight && board.affinity.loaded != Some(kind) => {
+                board.draining = true;
+                self.beat(bi, t, None, overlap);
+            }
+            Some(_) => {
+                let drained = std::mem::take(&mut board.draining) && !in_flight;
+                let entry = self.core.pick(&board.affinity).expect("peeked");
+                self.admit(bi, t, entry, drained, overlap);
+            }
+            None => self.beat(bi, t, None, overlap),
+        }
+    }
+
+    /// Admit `entry` to board `bi`'s pipeline: switch its design (charged
+    /// serially — the fabric is being rewritten), then advance a beat
+    /// with it entering the prefetch stage. `drained` says the pipeline
+    /// was just drained for this admission.
+    fn admit(
+        &mut self,
+        bi: usize,
+        t: SimTime,
+        mut entry: ShardEntry,
+        drained: bool,
+        overlap: OverlapConfig,
+    ) {
+        let outcome = self.outcome(&mut entry);
+        let (reconfig, switched) = self.switch_board(bi, entry.job.spec.kind);
+        if drained && switched {
+            self.stats.pipeline.drains += 1;
+        }
+        self.stats.reconfig_time += reconfig;
+        self.stats.board_busy[bi] += reconfig;
+        let stage = Stage {
+            entry,
+            started: t,
             checksum: outcome.checksum,
             cycles: outcome.cycles,
-            submitted: entry.submitted,
-            started: t,
-            done,
-            dma,
+            execute: self.cfg.fabric.scale_execute(outcome.compute),
             reconfig,
-            execute,
             switched,
+            addr: self.boards[bi].link.next_slot(true),
+            dma_in: SimDuration::ZERO,
+            corrupt: false,
+        };
+        self.beat(bi, t + reconfig, Some(stage), overlap);
+    }
+
+    /// One pipeline beat on board `bi` from `t` (after any reconfiguration
+    /// charged since): write back job *N−1* on channel 1, execute job
+    /// *N*, prefetch `new` on channel 0 — charged the overlap window of
+    /// the three stage times, not their sum.
+    fn beat(&mut self, bi: usize, t: SimTime, new: Option<Stage>, overlap: OverlapConfig) {
+        let busy0 = self.stats.board_busy[bi];
+        // Deliver the upsets the board's clock has reached: this beat
+        // executes on whatever configuration the campaign left behind.
+        self.inject(bi);
+
+        let finishing = self.boards[bi].executed.take();
+        let t_out = finishing.as_ref().map_or(SimDuration::ZERO, |f| {
+            let spec = f.entry.job.spec;
+            self.dma(
+                bi,
+                t,
+                f.addr,
+                &spec,
+                DmaDirection::BoardToHost,
+                DmaChannel::Ch1,
+            )
+            .since(t)
         });
+
+        let mut t_exec = SimDuration::ZERO;
+        let board = &mut self.boards[bi];
+        if let Some(mut st) = board.staged.take() {
+            t_exec = st.execute;
+            if let Some(digest) = board.guard.corruption(&board.coproc) {
+                st.checksum ^= digest;
+                st.corrupt = true;
+                self.stats.guard.corrupt_executes += 1;
+            }
+            board.executed = Some(st);
+        }
+
+        let mut t_in = SimDuration::ZERO;
+        if let Some(mut st) = new {
+            let spec = st.entry.job.spec;
+            let at = st.entry.ready_at.max(t);
+            t_in = self
+                .dma(
+                    bi,
+                    at,
+                    st.addr,
+                    &spec,
+                    DmaDirection::HostToBoard,
+                    DmaChannel::Ch0,
+                )
+                .since(t);
+            st.dma_in = t_in;
+            self.boards[bi].staged = Some(st);
+        }
+
+        let window = overlap.window([t_in, t_exec, t_out]);
+        let s = &mut self.stats;
+        let p = &mut s.pipeline;
+        p.beats += 1;
+        p.stage_time[0] += t_in;
+        p.stage_time[1] += t_exec;
+        p.stage_time[2] += t_out;
+        p.window_time += window;
+        p.overlap_saved += t_in + t_exec + t_out - window;
+        s.board_busy[bi] += window;
+        s.dma_time += t_in + t_out;
+        s.execute_time += t_exec;
+
+        // A detection invalidates every in-flight result: the executed
+        // job when it is implicated, and the finishing one regardless.
+        let executed = self.boards[bi]
+            .executed
+            .as_ref()
+            .map(|e| (e.entry.job.spec, e.checksum));
+        let (dirty, suspect) = self.guard_check(bi, executed);
+        if suspect {
+            if let Some(ex) = self.boards[bi].executed.take() {
+                self.retry_detected(bi, t, ex.entry, ex.dma_in + ex.execute);
+            }
+        }
+        if let Some(fin) = finishing {
+            if dirty {
+                self.retry_detected(bi, t, fin.entry, fin.dma_in + fin.execute);
+            } else {
+                self.complete(bi, fin, t_out);
+            }
+        }
+        self.close(bi, t, busy0);
+    }
+
+    /// Close board `bi`'s occupancy that began at `t`: it lasts for
+    /// everything charged to the board's busy clock since `busy0`, and
+    /// every job it retires retires at its end.
+    fn close(&mut self, bi: usize, t: SimTime, busy0: SimDuration) {
+        let end = t + (self.stats.board_busy[bi] - busy0);
+        let board = &mut self.boards[bi];
+        for fin in &mut board.done {
+            fin.done = end;
+        }
+        board.free_at = end;
+        board.busy = true;
+    }
+
+    /// Release `stage`'s result: it retires when the board's occupancy
+    /// closes.
+    fn complete(&mut self, bi: usize, stage: Stage, dma_out: SimDuration) {
+        if stage.corrupt {
+            self.stats.guard.silent_corruptions += 1;
+        }
+        self.boards[bi].done.push(stage.completion(bi, dma_out));
+    }
+
+    /// Count a detected corruption of `entry`'s execution, charge the
+    /// `wasted` virtual time, and retry it.
+    fn retry_detected(&mut self, bi: usize, t: SimTime, entry: ShardEntry, wasted: SimDuration) {
+        self.stats.guard.detected_corruptions += 1;
+        self.stats.guard.wasted_time += wasted;
+        self.requeue_or_fail(bi, t, entry);
+    }
+
+    /// Hand a suspect job back to the queue for a clean re-execution —
+    /// charging the retry backoff to board `bi` — or give up on it once
+    /// its retry budget is spent.
+    fn requeue_or_fail(&mut self, bi: usize, t: SimTime, mut entry: ShardEntry) {
+        let cfg = self.cfg.guard;
+        entry.retries += 1;
+        let g = &mut self.stats.guard;
+        if entry.retries > cfg.max_retries {
+            g.faulted += 1;
+            let job = entry.job;
+            self.boards[bi].done.push(ShardCompletion {
+                id: job.id,
+                tenant: job.tenant,
+                priority: job.priority,
+                spec: job.spec,
+                board: bi,
+                checksum: 0,
+                cycles: 0,
+                submitted: entry.submitted,
+                started: t,
+                done: t,
+                dma: SimDuration::ZERO,
+                reconfig: SimDuration::ZERO,
+                execute: SimDuration::ZERO,
+                switched: false,
+                faulted: true,
+            });
+            return;
+        }
+        g.retries += 1;
+        g.wasted_time += cfg.retry_backoff;
+        self.stats.board_busy[bi] += cfg.retry_backoff;
+        self.boards[bi].requeue.push(entry);
+    }
+
+    /// Deliver the upsets board `bi`'s busy clock has reached.
+    fn inject(&mut self, bi: usize) {
+        let board = &mut self.boards[bi];
+        if !board.guard.is_active() {
+            return;
+        }
+        let (injected, stealthy) = board
+            .guard
+            .inject(&mut board.coproc, self.stats.board_busy[bi]);
+        self.stats.guard.upsets_injected += injected;
+        self.stats.guard.upsets_stealthy += stealthy;
+    }
+
+    /// Run board `bi`'s detection ladder, charge it to the board, and
+    /// quarantine the board when it keeps failing. Returns
+    /// `(dirty, suspect)`: whether corruption was found, and whether the
+    /// `executed` job is implicated.
+    fn guard_check(&mut self, bi: usize, executed: Option<(JobSpec, u64)>) -> (bool, bool) {
+        let board = &mut self.boards[bi];
+        if !board.guard.is_active() {
+            return (false, false);
+        }
+        let clock = self.stats.board_busy[bi];
+        let scan = board
+            .guard
+            .scan(&mut board.coproc, &mut self.ctx, clock, executed);
+        let g = &mut self.stats.guard;
+        g.check_time += scan.check;
+        g.scrub_time += scan.scrub;
+        g.scrubs += scan.scrubs;
+        g.repairs += scan.repairs;
+        g.scrub_frames[bi] += scan.frames;
+        g.detection_latency += scan.latency;
+        g.detected_upsets += scan.settled;
+        self.stats.board_busy[bi] += scan.check + scan.scrub;
+        if scan.quarantine && self.quarantine_board(bi) {
+            self.boards[bi].guard.quarantined();
+        }
+        (scan.dirty, scan.suspect)
+    }
+
+    /// Move `spec`'s payload (`HostToBoard`) or result (`BoardToHost`)
+    /// for board `bi`, starting at `at`; returns when it lands. The
+    /// backplane path books the pair's connection; the PCI path streams
+    /// through the board's PLX9080 out of or into its reused buffer.
+    fn dma(
+        &mut self,
+        bi: usize,
+        at: SimTime,
+        addr: u64,
+        spec: &JobSpec,
+        dir: DmaDirection,
+        channel: DmaChannel,
+    ) -> SimTime {
+        let bytes = match dir {
+            DmaDirection::HostToBoard => spec.payload_bytes(),
+            DmaDirection::BoardToHost => spec.result_bytes(),
+        };
+        match &mut self.boards[bi].link {
+            Link::Aab(conn) => {
+                self.aab
+                    .transfer(*conn, at, bytes)
+                    .expect("pair connection is live")
+                    .1
+            }
+            Link::Pci { driver, buf, .. } => {
+                buf.clear();
+                buf.resize(bytes as usize, (spec.seed as u8) ^ 0x5A);
+                at + match dir {
+                    DmaDirection::HostToBoard => driver.dma_write_from_on(channel, addr, buf),
+                    DmaDirection::BoardToHost => driver.dma_read_into_on(channel, addr, buf),
+                }
+            }
+        }
+    }
+
+    /// `entry`'s outcome: cached by an earlier pass, or computed now —
+    /// together with up to `lanes − 1` queued TRT jobs, whose outcomes
+    /// are cached on their entries, when gathering is on. The entry keeps
+    /// its outcome, so a guard retry never recomputes it.
+    fn outcome(&mut self, entry: &mut ShardEntry) -> JobOutcome {
+        if let Some(outcome) = entry.outcome {
+            return outcome;
+        }
+        let outcome = if self.cfg.lanes <= 1 {
+            self.ctx.execute(&entry.job.spec)
+        } else {
+            self.gather(entry.job.spec)
+        };
+        entry.outcome = Some(outcome);
+        outcome
+    }
+
+    /// One execute pass for `spec` plus up to `lanes − 1` queued TRT jobs
+    /// when `spec` is TRT; returns `spec`'s outcome.
+    fn gather(&mut self, spec: JobSpec) -> JobOutcome {
+        let trt = |s: &JobSpec| s.kind == JobKind::TrtEvent;
+        let mut peers: Vec<&mut ShardEntry> = Vec::new();
+        if trt(&spec) {
+            peers = self
+                .core
+                .iter_mut()
+                .filter(|e| e.outcome.is_none() && trt(&e.job.spec))
+                .take(self.cfg.lanes - 1)
+                .collect();
+        }
+        let specs: Vec<JobSpec> = std::iter::once(spec)
+            .chain(peers.iter().map(|e| e.job.spec))
+            .collect();
+        let outcomes = self.ctx.execute_batch(&specs);
+        for (peer, &outcome) in peers.into_iter().zip(&outcomes[1..]) {
+            peer.outcome = Some(outcome);
+        }
+        let l = &mut self.stats.lanes;
+        if specs.len() > 1 {
+            l.laned_passes += 1;
+            l.laned_jobs += specs.len() as u64;
+        } else {
+            l.scalar_passes += 1;
+        }
+        outcomes[0]
     }
 
     /// Switch board `bi` to `kind`'s design through the shared cache
@@ -742,6 +1330,9 @@ impl ShardScheduler {
             .expect("workload designs are prefit for the shard's device family");
         let switched = delta.reconfig_time > SimDuration::ZERO;
         board.affinity.note_load(kind, switched);
+        if switched {
+            board.guard.healed();
+        }
         self.stats.full_loads += delta.full_loads;
         self.stats.partial_switches += delta.partial_switches;
         (delta.reconfig_time, switched)
@@ -751,6 +1342,7 @@ impl ShardScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{LaneStats, PipelineStats};
 
     fn shard(boards: usize, capacity: usize) -> ShardScheduler {
         let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
@@ -859,7 +1451,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_clamped_to_one_like_the_threaded_queue() {
+    fn zero_capacity_is_clamped_to_one() {
         let mut s = shard(1, 0);
         assert_eq!(s.queue_capacity(), 1);
         s.submit(SimTime::ZERO, job(0, JobSpec::trt(0))).unwrap();
@@ -1070,5 +1662,138 @@ mod tests {
         }
         s.drain();
         assert_eq!(s.backplane().slot_stats(2 * 2).bytes_moved, 2 * bytes);
+    }
+
+    /// Serve `specs` as a backlog admitted at time zero and return the
+    /// completions (in retirement order) and the final counters.
+    fn backlog(cfg: ShardConfig, specs: &[JobSpec]) -> (Vec<ShardCompletion>, ShardStats) {
+        let cache = Arc::new(BitstreamCache::new(Device::orca_3t125()));
+        cache.prefit_all().unwrap();
+        let mut s = ShardScheduler::new(cfg, cache).unwrap();
+        for (i, &spec) in specs.iter().enumerate() {
+            s.submit(SimTime::ZERO, job(i as u64, spec)).unwrap();
+        }
+        (s.drain(), s.stats().clone())
+    }
+
+    #[test]
+    fn lanes_change_host_work_only() {
+        let specs: Vec<_> = (0..40).map(JobSpec::mixed).collect();
+        let key = |c: &ShardCompletion| (c.id, c.board, c.started, c.done, c.checksum, c.cycles);
+        for pipeline in [Beat::Serial, ShardConfig::host().pipeline] {
+            let run = |lanes| {
+                let cfg = ShardConfig {
+                    boards: 2,
+                    pipeline,
+                    lanes,
+                    ..ShardConfig::default()
+                };
+                let (fins, stats) = backlog(cfg, &specs);
+                (fins.iter().map(key).collect::<Vec<_>>(), stats)
+            };
+            let (scalar, s1) = run(1);
+            let (laned, s8) = run(8);
+            assert_eq!(scalar.len(), 40);
+            assert_eq!(scalar, laned, "{pipeline:?}: completions depend on lanes");
+            assert_eq!(s1.lanes, LaneStats::default(), "lanes 1 never gathers");
+            assert!(s8.lanes.laned_passes > 0, "{pipeline:?}: TRT jobs gathered");
+            assert_eq!(
+                s8.lanes.laned_jobs + s8.lanes.scalar_passes,
+                40,
+                "every job is computed by exactly one pass"
+            );
+            let unlaned = ShardStats {
+                lanes: LaneStats::default(),
+                ..s8
+            };
+            assert_eq!(s1, unlaned, "{pipeline:?}: a non-lane counter moved");
+        }
+    }
+
+    #[test]
+    fn the_pipelined_backplane_beat_overlaps_and_keeps_results() {
+        let specs: Vec<_> = (0..24).map(JobSpec::mixed).collect();
+        let run = |pipeline| {
+            let cfg = ShardConfig {
+                boards: 2,
+                pipeline,
+                ..ShardConfig::default()
+            };
+            let (mut fins, stats) = backlog(cfg, &specs);
+            fins.sort_by_key(|f| f.id);
+            (fins.iter().map(|f| f.checksum).collect::<Vec<_>>(), stats)
+        };
+        let (serial, ss) = run(Beat::Serial);
+        let (piped, sp) = run(ShardConfig::host().pipeline);
+        assert_eq!(serial, piped, "the beat never changes results");
+        assert_eq!(ss.pipeline, PipelineStats::default());
+        assert!(sp.pipeline.beats >= 24 && sp.overlap_efficiency() > 0.0);
+        assert_eq!(sp.completed, 24);
+    }
+
+    fn host_shard(acbs: usize, cfg: ShardConfig) -> ShardScheduler {
+        let system = AtlantisSystem::builder().with_acbs(acbs).build();
+        ShardScheduler::host(cfg, system).expect("the system has ACBs")
+    }
+
+    #[test]
+    fn the_host_path_charges_plx9080_dma() {
+        let spec = JobSpec::volume(64, 3);
+        let serial = ShardConfig {
+            pipeline: Beat::Serial,
+            ..ShardConfig::host()
+        };
+        let mut s = host_shard(1, serial);
+        s.submit(SimTime::ZERO, job(0, spec)).unwrap();
+        let fin = s.drain().pop().expect("one completion");
+
+        let (_, mut acbs, _) = AtlantisSystem::builder().with_acbs(1).build().into_boards();
+        let mut driver = acbs.remove(0);
+        let addr = driver.target().job_slot_addr(0).unwrap();
+        let payload = vec![0u8; spec.payload_bytes() as usize];
+        let mut result = vec![0u8; spec.result_bytes() as usize];
+        let dma = driver.dma_write_from(addr, &payload) + driver.dma_read_into(addr, &mut result);
+        assert_eq!(fin.dma, dma);
+        assert_eq!(fin.done.since(fin.started), fin.service());
+        assert_eq!(s.backplane().slot_stats(0).bytes_moved, 0, "no AAB traffic");
+    }
+
+    #[test]
+    fn pipelined_host_boards_are_busy_for_their_beats_reconfig_and_guard_work() {
+        let guard = GuardConfig {
+            upset_rate: 4_000.0,
+            upset_seed: 3,
+            ..GuardConfig::protected()
+        };
+        let specs: Vec<_> = (0..60).map(JobSpec::mixed).collect();
+        for acbs in [1, 2] {
+            let cfg = ShardConfig {
+                guard,
+                ..ShardConfig::host()
+            };
+            let mut s = host_shard(acbs, cfg);
+            for (i, &spec) in specs.iter().enumerate() {
+                s.submit(SimTime::ZERO, job(i as u64, spec)).unwrap();
+            }
+            s.drain();
+            let st = s.stats();
+            let g = &st.guard;
+            assert!(
+                g.upsets_injected > 0 && g.retries > 0,
+                "the guard must work"
+            );
+            let backoff = guard.retry_backoff * g.retries;
+            assert_eq!(
+                st.busy_total(),
+                st.pipeline.window_time + st.reconfig_time + g.check_time + g.scrub_time + backoff,
+                "{acbs} boards"
+            );
+            assert_eq!(st.completed + g.faulted, 60);
+            assert_eq!(
+                st.lanes.laned_jobs + st.lanes.scalar_passes,
+                60,
+                "a retry reuses the job's outcome"
+            );
+        }
     }
 }

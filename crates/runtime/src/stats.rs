@@ -1,12 +1,12 @@
-//! Serving-layer statistics: latency histograms and the runtime-wide
-//! snapshot.
+//! Serving statistics: the log-bucketed virtual-time histogram and the
+//! shard's deterministic counters.
 
-use atlantis_simcore::SimDuration;
-use std::time::Duration;
+use atlantis_simcore::{SimDuration, SimTime};
+use std::fmt;
 
 /// A unit-agnostic log₂-bucketed histogram over `u64` samples — the one
-/// percentile implementation shared by the wall-clock serving histogram,
-/// the virtual-latency histogram, and the cluster bench. Fixed memory,
+/// percentile implementation shared by the shard's latency histograms
+/// and the cluster bench. Fixed memory,
 /// lock-friendly, good-enough percentiles (each bucket spans a factor of
 /// two; the reported percentile is the bucket's upper bound). Record in
 /// whatever unit the caller cares about — the serving layers record
@@ -122,150 +122,113 @@ impl LogHistogram {
     }
 }
 
-/// A log₂-bucketed histogram of wall-clock latencies in microseconds —
-/// [`LogHistogram`] recording `Duration`s as integer µs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    inner: LogHistogram,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.inner.record(us);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// The largest recorded latency in microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.inner.max()
-    }
-
-    /// Upper bound of the bucket holding the `p`-quantile (`p` in 0..=1),
-    /// in microseconds.
-    pub fn percentile_us(&self, p: f64) -> f64 {
-        self.inner.percentile(p)
-    }
-}
-
-/// A point-in-time snapshot of the whole runtime.
-#[derive(Debug, Clone)]
-pub struct RuntimeStats {
-    /// Jobs accepted into the queue.
+/// Deterministic counters of one shard. Every field derives from the
+/// virtual clock, so fixed-seed campaigns fingerprint byte-identically.
+///
+/// The pipeline, lane and guard sections stay all-zero on a shard that
+/// never uses them (serial beat, `lanes: 1`, guard disabled — the
+/// cluster shape), and `Debug` leaves an all-zero section out, so the
+/// cluster's fingerprints read exactly as they did before the sections
+/// existed.
+#[derive(Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Jobs admitted.
     pub submitted: u64,
-    /// Jobs fully served.
+    /// Jobs retired with a result (faulted jobs are counted in
+    /// [`GuardStats::faulted`] instead).
     pub completed: u64,
-    /// Jobs rejected with `Overloaded`.
+    /// Jobs refused with [`ShardReject`](crate::ShardReject).
     pub rejected: u64,
-    /// Rejections per priority class (indexed by
-    /// [`Priority::index`](crate::Priority::index)) — the per-class shed
-    /// ledger overload tooling reports.
+    /// Refusals per priority class.
     pub rejected_by_class: [u64; 3],
-    /// Accepted jobs that failed inside a worker (coprocessor errors —
-    /// zero in any healthy configuration).
-    pub failed: u64,
-    /// Completed jobs per workload kind (indexed like
+    /// Completions per workload kind (indexed like
     /// [`JobKind::ALL`](atlantis_apps::jobs::JobKind::ALL)).
     pub per_kind: [u64; 4],
-    /// Full FPGA configurations across all devices.
+    /// Jobs served without a hardware task switch — the shard's
+    /// bitstream-affinity hits.
+    pub affinity_hits: u64,
+    /// Full FPGA configurations across the shard's boards.
     pub full_loads: u64,
-    /// Partial-reconfiguration task switches across all devices.
+    /// Partial-reconfiguration switches across the shard's boards.
     pub partial_switches: u64,
-    /// Configuration frames written across all devices.
-    pub frames_written: u64,
-    /// Virtual time spent reconfiguring, summed over devices.
+    /// Virtual time spent reconfiguring.
     pub reconfig_time: SimDuration,
-    /// Virtual time spent on payload/result DMA, summed over devices.
+    /// Virtual time payloads and results spent on the backplane or PCI.
     pub dma_time: SimDuration,
-    /// Virtual execution time, summed over devices.
+    /// Virtual execution time.
     pub execute_time: SimDuration,
-    /// The virtual makespan: the busiest device's total virtual time.
-    /// Throughput on the simulated machine is `completed /` this.
-    pub virtual_makespan: SimDuration,
-    /// Pipeline beats advanced across all devices (zero when serving
-    /// serially).
-    pub pipeline_beats: u64,
-    /// Times a device fully drained its pipeline — before a design
-    /// switch (in-flight jobs must execute under the old design) or at
-    /// shutdown. Idle beats that happen to empty the pipeline while the
-    /// queue is momentarily quiet are not counted.
-    pub pipeline_drains: u64,
-    /// Virtual time each pipeline stage was busy, summed over beats and
-    /// devices: `[prefetch DMA-in, execute, writeback DMA-out]`.
+    /// Per-board busy time — each board's virtual clock.
+    pub board_busy: Vec<SimDuration>,
+    /// End-to-end virtual latency histogram (picoseconds).
+    pub latency: LogHistogram,
+    /// Queue-wait histogram (picoseconds).
+    pub queue_wait: LogHistogram,
+    /// Boards quarantined out of the advertised capacity.
+    pub quarantined: u64,
+    /// The latest completion instant seen.
+    pub last_done: SimTime,
+    /// Pipelined-beat counters.
+    pub pipeline: PipelineStats,
+    /// Lane-gathering counters.
+    pub lanes: LaneStats,
+    /// Reliability counters.
+    pub guard: GuardStats,
+}
+
+/// Counters of the pipelined beat (zero on a serial-beat shard).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PipelineStats {
+    /// Pipeline beats advanced across all boards.
+    pub beats: u64,
+    /// Times a board drained its pipeline before a design switch
+    /// (in-flight jobs must execute under the old design). Beats that
+    /// empty the pipeline while the queue is quiet are not counted.
+    pub drains: u64,
+    /// Virtual time each stage was busy, summed over beats and boards:
+    /// `[prefetch DMA-in, execute, writeback DMA-out]`.
     pub stage_time: [SimDuration; 3],
-    /// Virtual time the devices actually occupied while pipelining —
-    /// the per-beat overlap window, summed. Compare against the sum of
-    /// `stage_time` to see the overlap win.
+    /// Virtual time the boards occupied while pipelining — the per-beat
+    /// overlap window, summed.
     pub window_time: SimDuration,
-    /// Virtual time hidden by DMA/compute overlap: the difference
-    /// between serial stage time and the overlap window, summed.
+    /// Virtual time hidden by DMA/compute overlap: serial stage time
+    /// minus the overlap window, summed.
     pub overlap_saved: SimDuration,
-    /// Execute passes that gathered ≥ 2 same-design jobs and stepped
-    /// them through the laned engine together.
+}
+
+/// Counters of lane gathering (zero unless `lanes > 1`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LaneStats {
+    /// Execute passes that gathered ≥ 2 same-design jobs into one laned
+    /// pass.
     pub laned_passes: u64,
-    /// Execute passes that retired a single job.
+    /// Execute passes that computed a single job.
     pub scalar_passes: u64,
-    /// Jobs retired through laned passes.
+    /// Jobs computed through laned passes.
     pub laned_jobs: u64,
-    /// DMA staging-buffer checkouts served by recycling a pooled buffer.
-    pub pool_hits: u64,
-    /// DMA staging-buffer checkouts that had to allocate. Flat at steady
-    /// state — the zero-copy invariant.
-    pub pool_misses: u64,
-    /// Bitstream-cache hits.
-    pub cache_hits: u64,
-    /// Bitstream-cache misses (fits actually run).
-    pub cache_misses: u64,
-    /// End-to-end wall latency histogram (submission → completion).
-    pub latency: LatencyHistogram,
-    /// Per-job *virtual* service-time histogram in integer picoseconds
-    /// (`JobTimings::total_virtual` per completed job) — deterministic
-    /// across runs of a fixed-seed campaign, unlike the wall histogram,
-    /// so it participates in determinism fingerprints and is the
-    /// latency surface the cluster bench shares.
-    pub virt_latency: LogHistogram,
-    /// Wall time since the runtime started.
-    pub wall_elapsed: Duration,
-    /// Single-event upsets injected across all devices (fault
-    /// campaigns; zero in normal serving).
+}
+
+/// Reliability counters (zero with the guard disabled).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GuardStats {
+    /// Single-event upsets injected across all boards.
     pub upsets_injected: u64,
-    /// Injected upsets that refreshed the frame's stored CRC —
-    /// invisible to a CRC read-back, caught only by deep scrubs or
-    /// re-execution voting.
+    /// Injected upsets that refreshed the frame's stored CRC — invisible
+    /// to a CRC read-back, caught only by deep scrubs or votes.
     pub upsets_stealthy: u64,
-    /// Ground truth: job executions that ran while their device's
-    /// configuration was corrupt. The detection ladder exists to keep
-    /// these out of `silent_corruptions`.
+    /// Ground truth: executions that ran on a corrupt configuration.
     pub corrupt_executes: u64,
-    /// In-flight jobs discarded and requeued because a detector fired
-    /// while they were in flight. Conservative: a detection discards
-    /// every in-flight result, so this can exceed `corrupt_executes`.
+    /// In-flight jobs discarded and requeued because a detector fired.
+    /// A detection discards every in-flight result, so this can exceed
+    /// `corrupt_executes`.
     pub detected_corruptions: u64,
     /// Ground truth: corrupt results that reached a client. Zero under
     /// [`GuardConfig::protected`](crate::GuardConfig::protected) with
     /// CRC-visible upsets — the end-to-end reliability guarantee.
     pub silent_corruptions: u64,
-    /// Full golden-image scrub passes (periodic deep scrubs plus
-    /// anti-stealth scrubs after a vote detection).
-    pub guard_scrubs: u64,
-    /// Targeted frame repairs after a CRC detection (no full
-    /// read-back — the fast repair path).
-    pub guard_repairs: u64,
+    /// Full golden-image scrub passes (periodic plus anti-stealth).
+    pub scrubs: u64,
+    /// Targeted frame repairs after a CRC detection.
+    pub repairs: u64,
     /// Virtual time spent scrubbing and repairing configurations.
     pub scrub_time: SimDuration,
     /// Virtual time spent on CRC scans and re-execution votes.
@@ -275,172 +238,169 @@ pub struct RuntimeStats {
     pub wasted_time: SimDuration,
     /// Suspect-job requeues performed.
     pub retries: u64,
-    /// Jobs answered with
-    /// [`RuntimeError::Faulted`](crate::RuntimeError::Faulted) after
-    /// exhausting the retry budget.
+    /// Jobs given up on after exhausting the retry budget.
     pub faulted: u64,
-    /// Devices quarantined after repeated dirty integrity events.
-    pub quarantined_devices: u64,
     /// Summed virtual latency from each upset's arrival to its repair.
     pub detection_latency: SimDuration,
-    /// Upsets whose detection latency was measured (repaired via the
-    /// detection ladder; upsets healed by a task switch don't count).
+    /// Upsets whose detection latency was measured (upsets healed by a
+    /// task switch don't count).
     pub detected_upsets: u64,
-    /// Configuration frames repaired per device by guard scrubs and
-    /// repairs — the per-device accumulation of `ScrubReport` totals.
-    pub device_scrub_frames: Vec<u64>,
-    /// Total busy virtual time summed over all devices (the
-    /// denominator of [`RuntimeStats::availability`]).
-    pub busy_total: SimDuration,
+    /// Configuration frames repaired per board by scrubs and repairs.
+    pub scrub_frames: Vec<u64>,
 }
 
-impl RuntimeStats {
-    /// Served jobs per second of *virtual* machine time — the number a
-    /// deployment of the real hardware would see, independent of how
-    /// fast the host simulates it.
-    pub fn virtual_jobs_per_sec(&self) -> f64 {
-        let t = self.virtual_makespan.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / t
+impl fmt::Debug for ShardStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("ShardStats");
+        d.field("submitted", &self.submitted)
+            .field("completed", &self.completed)
+            .field("rejected", &self.rejected)
+            .field("rejected_by_class", &self.rejected_by_class)
+            .field("per_kind", &self.per_kind)
+            .field("affinity_hits", &self.affinity_hits)
+            .field("full_loads", &self.full_loads)
+            .field("partial_switches", &self.partial_switches)
+            .field("reconfig_time", &self.reconfig_time)
+            .field("dma_time", &self.dma_time)
+            .field("execute_time", &self.execute_time)
+            .field("board_busy", &self.board_busy)
+            .field("latency", &self.latency)
+            .field("queue_wait", &self.queue_wait)
+            .field("quarantined", &self.quarantined)
+            .field("last_done", &self.last_done);
+        if self.pipeline != PipelineStats::default() {
+            d.field("pipeline", &self.pipeline);
         }
+        if self.lanes != LaneStats::default() {
+            d.field("lanes", &self.lanes);
+        }
+        if self.guard != GuardStats::default() {
+            d.field("guard", &self.guard);
+        }
+        d.finish()
+    }
+}
+
+/// `num / den`, or zero when nothing was measured.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den <= 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
+impl ShardStats {
+    /// Fraction of completions served without a task switch.
+    pub fn affinity_hit_rate(&self) -> f64 {
+        ratio(self.affinity_hits as f64, self.completed as f64)
     }
 
-    /// Served jobs per second of wall time (host simulation speed).
-    pub fn wall_jobs_per_sec(&self) -> f64 {
-        let t = self.wall_elapsed.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / t
-        }
+    /// Hardware task switches (full + partial) per completed job — the
+    /// quantity reconfiguration-aware batching minimises.
+    pub fn switches_per_job(&self) -> f64 {
+        ratio(
+            (self.full_loads + self.partial_switches) as f64,
+            self.completed as f64,
+        )
+    }
+
+    /// The virtual makespan: the busiest board's total busy time.
+    pub fn makespan(&self) -> SimDuration {
+        self.board_busy
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    /// Busy time summed over all boards.
+    pub fn busy_total(&self) -> SimDuration {
+        self.board_busy.iter().copied().sum()
+    }
+
+    /// Completed jobs per second of *virtual* machine time
+    /// (`completed / makespan`) — what the real hardware would serve,
+    /// independent of how fast the host simulates it.
+    pub fn virtual_jobs_per_sec(&self) -> f64 {
+        ratio(self.completed as f64, self.makespan().as_secs_f64())
+    }
+
+    /// The `p`-quantile of end-to-end virtual latency in microseconds
+    /// (the histogram's bucket bound).
+    pub fn latency_us(&self, p: f64) -> f64 {
+        self.latency.percentile(p) / 1e6
     }
 
     /// Fraction of serial stage time hidden by overlapping the DMA-in,
-    /// execute, and DMA-out stages: `overlap_saved / Σ stage_time`.
-    /// Zero when serving serially; approaches `(k−1)/k` for `k`
-    /// perfectly-balanced stages under zero contention.
+    /// execute and DMA-out stages: `overlap_saved / Σ stage_time`. Zero
+    /// on a serial beat.
     pub fn overlap_efficiency(&self) -> f64 {
-        let serial: SimDuration = self.stage_time.iter().copied().sum();
-        let t = serial.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.overlap_saved.as_secs_f64() / t
-        }
+        let serial: SimDuration = self.pipeline.stage_time.iter().copied().sum();
+        ratio(
+            self.pipeline.overlap_saved.as_secs_f64(),
+            serial.as_secs_f64(),
+        )
     }
 
-    /// Per-stage occupancy: the fraction of pipelined device time each
-    /// stage kept busy (`stage_time[i] / window_time`). The dominant
-    /// stage sits near 1.0; the others measure how much latent overlap
-    /// capacity remains.
+    /// Per-stage occupancy of pipelined board time
+    /// (`stage_time[i] / window_time`).
     pub fn stage_occupancy(&self) -> [f64; 3] {
-        let w = self.window_time.as_secs_f64();
-        if w <= 0.0 {
-            return [0.0; 3];
-        }
-        self.stage_time.map(|t| t.as_secs_f64() / w)
+        let w = self.pipeline.window_time.as_secs_f64();
+        self.pipeline.stage_time.map(|t| ratio(t.as_secs_f64(), w))
     }
 
-    /// Mean jobs retired per laned execute pass
-    /// (`laned_jobs / laned_passes`) — the host-side SIMD occupancy.
-    /// Zero when no pass ever gathered more than one job.
+    /// Mean jobs per laned execute pass (`laned_jobs / laned_passes`);
+    /// zero when no pass gathered more than one job.
     pub fn lane_occupancy(&self) -> f64 {
-        if self.laned_passes == 0 {
-            0.0
-        } else {
-            self.laned_jobs as f64 / self.laned_passes as f64
-        }
+        ratio(self.lanes.laned_jobs as f64, self.lanes.laned_passes as f64)
     }
 
-    /// Fraction of device busy time spent serving jobs rather than on
+    /// Fraction of board busy time spent serving jobs rather than on
     /// reliability work: `1 − (scrub + check + wasted) / busy`. `1.0`
-    /// with the guard disabled; degrades as the upset rate climbs —
-    /// the knee the `guard_campaign` bench sweeps out.
+    /// with the guard disabled.
     pub fn availability(&self) -> f64 {
-        let busy = self.busy_total.as_secs_f64();
+        let busy = self.busy_total().as_secs_f64();
         if busy <= 0.0 {
             return 1.0;
         }
-        let overhead = (self.scrub_time + self.check_time + self.wasted_time).as_secs_f64();
+        let g = &self.guard;
+        let overhead = (g.scrub_time + g.check_time + g.wasted_time).as_secs_f64();
         (1.0 - overhead / busy).max(0.0)
     }
 
-    /// Mean virtual busy time between configuration upsets, in
-    /// seconds — infinite when no upset was injected.
+    /// Mean virtual busy time between configuration upsets, in seconds —
+    /// infinite when no upset was injected.
     pub fn mtbf(&self) -> f64 {
-        if self.upsets_injected == 0 {
+        if self.guard.upsets_injected == 0 {
             f64::INFINITY
         } else {
-            self.busy_total.as_secs_f64() / self.upsets_injected as f64
+            self.busy_total().as_secs_f64() / self.guard.upsets_injected as f64
         }
     }
 
-    /// Fraction of device busy time spent on integrity work alone
-    /// (scrubs, repairs, CRC scans, votes) — the standing cost of the
-    /// protection, independent of whether anything was found.
+    /// Fraction of board busy time spent on integrity work alone
+    /// (scrubs, repairs, CRC scans, votes).
     pub fn scrub_overhead(&self) -> f64 {
-        let busy = self.busy_total.as_secs_f64();
-        if busy <= 0.0 {
-            0.0
-        } else {
-            (self.scrub_time + self.check_time).as_secs_f64() / busy
-        }
+        ratio(
+            (self.guard.scrub_time + self.guard.check_time).as_secs_f64(),
+            self.busy_total().as_secs_f64(),
+        )
     }
 
     /// Mean virtual latency from an upset's arrival to its repair, in
     /// microseconds. Zero when nothing was detected.
     pub fn mean_detection_latency_us(&self) -> f64 {
-        if self.detected_upsets == 0 {
-            0.0
-        } else {
-            self.detection_latency.as_secs_f64() * 1e6 / self.detected_upsets as f64
-        }
-    }
-
-    /// The `p`-quantile of per-job *virtual* service time, converted
-    /// from the histogram's picosecond buckets to microseconds.
-    pub fn virt_percentile_us(&self, p: f64) -> f64 {
-        self.virt_latency.percentile(p) / 1e6
-    }
-
-    /// Hardware task switches (full + partial) per served job — the
-    /// quantity reconfiguration-aware batching minimises.
-    pub fn switches_per_job(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            (self.full_loads + self.partial_switches) as f64 / self.completed as f64
-        }
+        ratio(
+            self.guard.detection_latency.as_secs_f64() * 1e6,
+            self.guard.detected_upsets as f64,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles_bracket_the_samples() {
-        let mut h = LatencyHistogram::new();
-        for us in [1u64, 2, 4, 100, 100, 100, 100, 100, 100, 10_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 10);
-        let p50 = h.percentile_us(0.5);
-        assert!((64.0..=256.0).contains(&p50), "p50 {p50}");
-        let p99 = h.percentile_us(0.99);
-        assert!(p99 >= 8192.0, "p99 {p99}");
-        assert!(h.mean_us() > 0.0);
-        assert_eq!(h.max_us(), 10_000);
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zero() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile_us(0.5), 0.0);
-        assert_eq!(h.mean_us(), 0.0);
-    }
 
     #[test]
     fn log_histogram_brackets_picosecond_samples() {

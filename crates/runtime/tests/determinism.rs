@@ -1,79 +1,25 @@
-//! Seed-parameterized determinism guard: two identical closed-loop
-//! runs must produce byte-identical statistics.
+//! Seed-parameterized determinism guard: two identical runs must produce
+//! byte-identical statistics.
 //!
-//! Closed-loop submission (each job awaited before the next is sent) on
-//! a single worker pins the beat structure — every job is alone in the
-//! pipeline for exactly three beats — so *every* stats field except the
-//! two wall-clock ones (`wall_elapsed`, `latency`) is a pure function
-//! of the job sequence. Any nondeterminism creeping into the engine,
-//! the DMA models, the buffer pool, or the accounting shows up here as
-//! a fingerprint mismatch.
+//! The serving engine runs on a virtual clock, so every counter —
+//! pipeline beats, switch counts, latency histograms, guard ledgers — is
+//! a pure function of the submission sequence. Any nondeterminism
+//! creeping into the engine, the DMA models or the accounting shows up
+//! here as a fingerprint mismatch.
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{GuardConfig, JobRequest, Runtime, RuntimeConfig, RuntimeStats};
+use atlantis_runtime::{Beat, GuardConfig, JobRequest, Runtime, ShardConfig};
 
-/// Everything in [`RuntimeStats`] except wall time and the latency
-/// histogram, Debug-formatted for a byte-exact comparison.
-fn fingerprint(s: &RuntimeStats) -> String {
-    format!(
-        "{:?}",
-        (
-            (
-                s.submitted,
-                s.completed,
-                s.rejected,
-                s.failed,
-                s.per_kind,
-                s.full_loads,
-                s.partial_switches,
-                s.frames_written,
-                s.reconfig_time,
-                s.dma_time,
-                s.execute_time,
-                s.virtual_makespan,
-            ),
-            (
-                s.pipeline_beats,
-                s.pipeline_drains,
-                s.stage_time,
-                s.window_time,
-                s.overlap_saved,
-                s.laned_passes,
-                s.scalar_passes,
-                s.laned_jobs,
-                s.pool_hits,
-                s.pool_misses,
-                s.cache_hits,
-                s.cache_misses,
-            ),
-            (
-                s.upsets_injected,
-                s.upsets_stealthy,
-                s.corrupt_executes,
-                s.detected_corruptions,
-                s.silent_corruptions,
-                s.guard_scrubs,
-                s.guard_repairs,
-                s.scrub_time,
-                s.check_time,
-                s.wasted_time,
-                (
-                    s.retries,
-                    s.faulted,
-                    s.quarantined_devices,
-                    s.detection_latency,
-                    s.detected_upsets,
-                    &s.device_scrub_frames,
-                    s.busy_total,
-                ),
-            ),
-        )
-    )
+fn serial() -> ShardConfig {
+    ShardConfig {
+        pipeline: Beat::Serial,
+        ..ShardConfig::host()
+    }
 }
 
 /// Closed-loop serve: one device, each job awaited before the next.
-fn run_closed_loop(config: RuntimeConfig, seed: u64, jobs: u64) -> (Vec<u64>, String) {
+fn run_closed_loop(config: ShardConfig, seed: u64, jobs: u64) -> (Vec<u64>, String) {
     let system = AtlantisSystem::builder().with_acbs(1).build();
     let rt = Runtime::serve(system, config).unwrap();
     let mut checksums = Vec::with_capacity(jobs as usize);
@@ -82,23 +28,63 @@ fn run_closed_loop(config: RuntimeConfig, seed: u64, jobs: u64) -> (Vec<u64>, St
         let handle = rt.submit(JobRequest::new(0, spec)).unwrap();
         checksums.push(handle.wait().unwrap().checksum);
     }
-    let stats = rt.shutdown();
-    (checksums, fingerprint(&stats))
+    (checksums, format!("{:?}", rt.shutdown()))
+}
+
+/// Open-loop serve: every job submitted up front on two devices.
+fn run_open_loop(config: ShardConfig, seed: u64, jobs: u64) -> (Vec<(u64, u64)>, String) {
+    let system = AtlantisSystem::builder().with_acbs(2).build();
+    let rt = Runtime::serve(system, config).unwrap();
+    let handles: Vec<_> = (0..jobs)
+        .map(|i| {
+            let spec = JobSpec::mixed(seed * 10_000 + i);
+            rt.submit(JobRequest::new((i % 3) as u32, spec)).unwrap()
+        })
+        .collect();
+    let done = handles
+        .into_iter()
+        .map(|h| h.wait().unwrap())
+        .map(|c| {
+            (
+                c.board as u64,
+                c.done.since(atlantis_simcore::SimTime::ZERO).as_picos(),
+            )
+        })
+        .collect();
+    (done, format!("{:?}", rt.shutdown()))
 }
 
 #[test]
 fn closed_loop_stats_are_byte_identical_across_runs() {
     for seed in [1u64, 7, 42] {
-        let (sums_a, fp_a) = run_closed_loop(RuntimeConfig::default(), seed, 24);
-        let (sums_b, fp_b) = run_closed_loop(RuntimeConfig::default(), seed, 24);
+        let (sums_a, fp_a) = run_closed_loop(ShardConfig::host(), seed, 24);
+        let (sums_b, fp_b) = run_closed_loop(ShardConfig::host(), seed, 24);
         assert_eq!(sums_a, sums_b, "seed {seed}: checksums diverged");
         assert_eq!(fp_a, fp_b, "seed {seed}: stats fingerprint diverged");
     }
 }
 
+#[test]
+fn open_loop_placement_and_timing_are_byte_identical_across_runs() {
+    for config in [ShardConfig::host(), serial()] {
+        let (a, fp_a) = run_open_loop(config, 5, 48);
+        let (b, fp_b) = run_open_loop(config, 5, 48);
+        assert_eq!(
+            a, b,
+            "{:?}: per-job board and done time diverged",
+            config.pipeline
+        );
+        assert_eq!(
+            fp_a, fp_b,
+            "{:?}: stats fingerprint diverged",
+            config.pipeline
+        );
+    }
+}
+
 /// Closed-loop serve under fault injection: jobs may honestly fail with
 /// `Faulted` after exhausting retries; record `None` for those.
-fn run_fault_campaign(config: RuntimeConfig, jobs: u64) -> (Vec<Option<u64>>, String) {
+fn run_fault_campaign(config: ShardConfig, jobs: u64) -> (Vec<Option<u64>>, String) {
     let system = AtlantisSystem::builder().with_acbs(1).build();
     let rt = Runtime::serve(system, config).unwrap();
     let mut checksums = Vec::with_capacity(jobs as usize);
@@ -109,17 +95,17 @@ fn run_fault_campaign(config: RuntimeConfig, jobs: u64) -> (Vec<Option<u64>>, St
     }
     let stats = rt.shutdown();
     assert!(
-        stats.upsets_injected > 0,
+        stats.guard.upsets_injected > 0,
         "a campaign that injects nothing guards nothing"
     );
-    (checksums, fingerprint(&stats))
+    (checksums, format!("{stats:?}"))
 }
 
 #[test]
 fn fixed_seed_fault_campaigns_are_byte_identical_across_runs() {
-    // Upset arrivals are a seeded Poisson process over the device's
-    // *virtual* clock, so a closed-loop run replays the same campaign —
-    // injections, detections, retries, scrub times — byte for byte.
+    // Upset arrivals are a seeded Poisson process over the board's
+    // virtual clock, so a run replays the same campaign — injections,
+    // detections, retries, scrub times — byte for byte.
     let guard = GuardConfig {
         upset_rate: 3_000.0,
         stealth_fraction: 0.25,
@@ -127,11 +113,8 @@ fn fixed_seed_fault_campaigns_are_byte_identical_across_runs() {
         vote_every: 4,
         ..GuardConfig::protected()
     };
-    for (name, base) in [
-        ("pipelined", RuntimeConfig::default()),
-        ("serial", RuntimeConfig::serial()),
-    ] {
-        let config = RuntimeConfig { guard, ..base };
+    for (name, base) in [("pipelined", ShardConfig::host()), ("serial", serial())] {
+        let config = ShardConfig { guard, ..base };
         let (sums_a, fp_a) = run_fault_campaign(config, 20);
         let (sums_b, fp_b) = run_fault_campaign(config, 20);
         assert_eq!(sums_a, sums_b, "{name}: campaign checksums diverged");
@@ -196,11 +179,9 @@ fn threaded_compile_ledger_is_independent_of_seed_and_run() {
 
 #[test]
 fn closed_loop_serial_stats_are_byte_identical_across_runs() {
-    // The serial path shares the reconfiguration-accounting helper with
-    // the pipelined path; guard it with the same fingerprint.
     for seed in [3u64, 11] {
-        let (sums_a, fp_a) = run_closed_loop(RuntimeConfig::serial(), seed, 16);
-        let (sums_b, fp_b) = run_closed_loop(RuntimeConfig::serial(), seed, 16);
+        let (sums_a, fp_a) = run_closed_loop(serial(), seed, 16);
+        let (sums_b, fp_b) = run_closed_loop(serial(), seed, 16);
         assert_eq!(sums_a, sums_b, "seed {seed}: checksums diverged");
         assert_eq!(fp_a, fp_b, "seed {seed}: stats fingerprint diverged");
     }

@@ -1,55 +1,51 @@
 //! Lane-batched execution must be an *optimisation*, not a behaviour
-//! change: gathering same-design jobs into one laned execute pass may
-//! only change host wall clock. Per-job checksums, cycle counts, and
-//! every arrival-order-deterministic virtual statistic must match the
-//! unlaned run exactly — lanes serialise in virtual time on the one
-//! physical device.
+//! change: computing queued same-design jobs' outcomes in one laned pass
+//! may only change host wall clock. Per-job checksums, cycle counts,
+//! timings and every virtual statistic must match the unlaned run
+//! exactly — the scheduler never sees the gather.
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{JobRequest, Runtime, RuntimeConfig, RuntimeStats};
+use atlantis_runtime::{Beat, JobRequest, LaneStats, PickConfig, Runtime, ShardConfig, ShardStats};
+
+type Row = (u64, u64, u64, u64);
 
 /// Serve the given specs on one device under strict FIFO and return the
-/// per-job results (sorted by id) plus final stats. One worker plus
-/// FIFO makes the pop *order* — and with it every virtual-time
-/// statistic below — independent of how the worker's pops race the
-/// submitting thread. (Beat structure, and so `pipeline_beats` /
-/// `window_time` / `overlap_saved`, stays racy under live submission;
-/// those fields are deliberately not compared.)
-fn run(lanes: usize, specs: &[JobSpec]) -> (Vec<(u64, u64, u64)>, RuntimeStats) {
+/// per-job `(id, checksum, cycles, done)` plus final stats.
+fn run(base: ShardConfig, lanes: usize, specs: &[JobSpec]) -> (Vec<Row>, ShardStats) {
     let system = AtlantisSystem::builder().with_acbs(1).build();
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         lanes,
-        ..RuntimeConfig::fifo()
+        pick: PickConfig::fifo(),
+        ..base
     };
     let rt = Runtime::serve(system, config).unwrap();
     let handles: Vec<_> = specs
         .iter()
         .map(|&s| rt.submit(JobRequest::new(0, s)).unwrap())
         .collect();
-    let mut results: Vec<(u64, u64, u64)> = handles
+    let results = handles
         .into_iter()
         .map(|h| h.wait().unwrap())
-        .map(|r| (r.id, r.checksum, r.cycles))
+        .map(|r| {
+            (
+                r.id,
+                r.checksum,
+                r.cycles,
+                r.done.since(r.submitted).as_picos(),
+            )
+        })
         .collect();
-    let stats = rt.shutdown();
-    results.sort_unstable();
-    (results, stats)
+    (results, rt.shutdown())
 }
 
-fn assert_virtual_equivalence(scalar: &RuntimeStats, laned: &RuntimeStats) {
-    assert_eq!(scalar.completed, laned.completed);
-    assert_eq!(scalar.failed, laned.failed);
-    assert_eq!(scalar.per_kind, laned.per_kind);
-    assert_eq!(scalar.full_loads, laned.full_loads);
-    assert_eq!(scalar.partial_switches, laned.partial_switches);
-    assert_eq!(scalar.frames_written, laned.frames_written);
-    assert_eq!(scalar.reconfig_time, laned.reconfig_time);
-    assert_eq!(scalar.dma_time, laned.dma_time);
-    assert_eq!(scalar.execute_time, laned.execute_time);
-    // virtual_makespan is deliberately absent: it sums per-beat overlap
-    // windows, and the *beat structure* depends on how worker pops race
-    // the submitting thread — racy in both runs, laned or not.
+/// Everything but the lane counters must be identical.
+fn assert_virtual_equivalence(scalar: &ShardStats, laned: &ShardStats) {
+    let unlaned = ShardStats {
+        lanes: LaneStats::default(),
+        ..laned.clone()
+    };
+    assert_eq!(scalar, &unlaned);
 }
 
 #[test]
@@ -57,19 +53,22 @@ fn laned_trt_serving_matches_scalar_virtual_time_exactly() {
     // A same-design burst: the best case for gathering — the laned run
     // must actually batch (occupancy > 1) yet change nothing virtual.
     let specs: Vec<JobSpec> = (0..200).map(JobSpec::trt).collect();
-    let (scalar_results, scalar) = run(1, &specs);
-    let (laned_results, laned) = run(8, &specs);
+    let (scalar_results, scalar) = run(ShardConfig::host(), 1, &specs);
+    let (laned_results, laned) = run(ShardConfig::host(), 8, &specs);
 
     assert_eq!(
         scalar_results, laned_results,
-        "per-job checksums and cycles must not depend on lanes"
+        "per-job checksums, cycles and timings must not depend on lanes"
     );
     assert_virtual_equivalence(&scalar, &laned);
 
-    assert_eq!(scalar.laned_passes, 0, "lanes = 1 must never gather");
-    assert_eq!(scalar.laned_jobs, 0);
+    assert_eq!(
+        scalar.lanes,
+        LaneStats::default(),
+        "lanes = 1 never gathers"
+    );
     assert!(
-        laned.laned_passes >= 1,
+        laned.lanes.laned_passes >= 1,
         "an upfront same-design burst must produce laned passes"
     );
     assert!(
@@ -78,52 +77,32 @@ fn laned_trt_serving_matches_scalar_virtual_time_exactly() {
         laned.lane_occupancy()
     );
     assert_eq!(
-        laned.laned_jobs + laned.scalar_passes,
+        laned.lanes.laned_jobs + laned.lanes.scalar_passes,
         laned.completed,
-        "every completed job is retired by exactly one pass"
+        "every completed job is computed by exactly one pass"
     );
 }
 
 #[test]
 fn laned_mixed_serving_matches_scalar_virtual_time_exactly() {
-    // Mixed kinds exercise the carry path: a gather that pops a job for
-    // another design must stash it and serve it next, in order.
+    // Mixed kinds: only TRT jobs gather, the rest compute one by one.
     let specs: Vec<JobSpec> = (0..96).map(JobSpec::mixed).collect();
-    let (scalar_results, scalar) = run(1, &specs);
-    let (laned_results, laned) = run(8, &specs);
-
+    let (scalar_results, scalar) = run(ShardConfig::host(), 1, &specs);
+    let (laned_results, laned) = run(ShardConfig::host(), 8, &specs);
     assert_eq!(scalar_results, laned_results);
     assert_virtual_equivalence(&scalar, &laned);
 }
 
 #[test]
-fn serial_mode_ignores_lanes() {
-    // The unpipelined baseline serves end to end; lanes must not change
-    // it at all (and must never report a laned pass).
-    let specs: Vec<JobSpec> = (0..40).map(JobSpec::trt).collect();
-    let serve = |lanes: usize| {
-        let system = AtlantisSystem::builder().with_acbs(1).build();
-        let config = RuntimeConfig {
-            lanes,
-            ..RuntimeConfig::serial()
-        };
-        let rt = Runtime::serve(system, config).unwrap();
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|&s| rt.submit(JobRequest::new(0, s)).unwrap())
-            .collect();
-        let mut out: Vec<(u64, u64)> = handles
-            .into_iter()
-            .map(|h| h.wait().unwrap())
-            .map(|r| (r.id, r.checksum))
-            .collect();
-        out.sort_unstable();
-        (out, rt.shutdown())
+fn the_serial_beat_gathers_with_the_same_guarantee() {
+    let serial = ShardConfig {
+        pipeline: Beat::Serial,
+        ..ShardConfig::host()
     };
-    let (r1, s1) = serve(1);
-    let (r8, s8) = serve(8);
+    let specs: Vec<JobSpec> = (0..40).map(JobSpec::trt).collect();
+    let (r1, s1) = run(serial, 1, &specs);
+    let (r8, s8) = run(serial, 8, &specs);
     assert_eq!(r1, r8);
-    assert_eq!(s1.laned_passes, 0);
-    assert_eq!(s8.laned_passes, 0);
-    assert_eq!(s8.scalar_passes, s8.completed);
+    assert_virtual_equivalence(&s1, &s8);
+    assert!(s8.lanes.laned_passes > 0);
 }

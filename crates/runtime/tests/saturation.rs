@@ -1,11 +1,13 @@
 //! Saturation behaviour: a deliberately tiny admission queue flooded
 //! from many client threads must shed load by *rejecting* submissions
 //! (bounded memory), while every accepted job still completes — no
-//! deadlock, no lost in-flight work.
+//! deadlock, no lost in-flight work. The real threads exercise the
+//! front's lock: submissions and waits from all of them drive the one
+//! shard's virtual clock.
 
 use atlantis_apps::jobs::JobSpec;
 use atlantis_core::AtlantisSystem;
-use atlantis_runtime::{JobRequest, Priority, Runtime, RuntimeConfig, RuntimeError};
+use atlantis_runtime::{JobRequest, Priority, Runtime, RuntimeError, ShardConfig, ShardReject};
 use std::sync::Arc;
 
 #[test]
@@ -14,9 +16,9 @@ fn overload_sheds_by_rejection_and_loses_nothing() {
     const JOBS_PER_CLIENT: u64 = 40;
 
     let system = AtlantisSystem::builder().with_acbs(1).build();
-    let config = RuntimeConfig {
+    let config = ShardConfig {
         queue_capacity: 4,
-        ..RuntimeConfig::default()
+        ..ShardConfig::host()
     };
     let rt = Arc::new(Runtime::serve(system, config).unwrap());
 
@@ -39,12 +41,12 @@ fn overload_sheds_by_rejection_and_loses_nothing() {
                             accepted += 1;
                             handles.push(h);
                         }
-                        Err(RuntimeError::Overloaded {
+                        Err(RuntimeError::Overloaded(ShardReject {
                             capacity,
                             depth,
                             priority: shed_class,
                             ..
-                        }) => {
+                        })) => {
                             assert_eq!(capacity, 4);
                             assert!(depth >= capacity, "rejection reports queue depth");
                             assert_eq!(shed_class, priority, "rejection echoes the class");
@@ -56,7 +58,7 @@ fn overload_sheds_by_rejection_and_loses_nothing() {
                 // Every accepted job must complete with a real result.
                 for h in handles {
                     let r = h.wait().expect("accepted job must complete");
-                    assert_eq!(r.client, c);
+                    assert_eq!(r.tenant, c);
                 }
                 (accepted, rejected)
             })
@@ -82,7 +84,7 @@ fn overload_sheds_by_rejection_and_loses_nothing() {
     assert_eq!(stats.submitted, accepted);
     assert_eq!(stats.rejected, rejected);
     assert_eq!(stats.completed, accepted, "accepted jobs all completed");
-    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.guard.faulted, 0);
     // With a queue bound of 4 and 320 offered jobs racing one device,
     // backpressure must actually have engaged.
     assert!(

@@ -1,22 +1,23 @@
 //! Multi-tenant serving on the ATLANTIS machine (DESIGN.md §8).
 //!
-//! Three client threads with different workload profiles — an online
-//! trigger (high priority), an interactive volume renderer, and a bulk
-//! batch tenant mixing image filters and N-body steps — share a
-//! four-ACB system through `atlantis-runtime`. The scheduler batches
-//! jobs that share the currently-loaded FPGA design, so most jobs skip
-//! reconfiguration entirely; a bounded admission queue sheds overload
-//! by rejection instead of growing without bound. By default each
-//! worker serves through the three-stage pipeline (prefetch / execute /
-//! writeback on the PLX9080's two DMA channels, DESIGN.md §9) so DMA
-//! and compute overlap; pass `--serial` to serve each job end to end
-//! and compare the overlap counters. The execute stage gathers up to
-//! `--lanes N` queued same-design jobs into one lane-batched pass
-//! (DESIGN.md §10) — virtual time is unchanged, only host wall clock
-//! improves; pass `--lanes 1` to disable lane batching.
+//! Three tenants with different workload profiles — an online trigger
+//! (high priority), an interactive volume renderer, and a bulk batch
+//! tenant mixing image filters and N-body steps — share a four-ACB
+//! system through `atlantis-runtime`. Their requests are submitted
+//! interleaved from one thread, so every run prints the same numbers.
+//! The scheduler batches jobs that share the currently-loaded FPGA
+//! design, so most jobs skip reconfiguration entirely; a bounded
+//! admission queue sheds overload by rejection instead of growing
+//! without bound. By default each board serves through the three-stage
+//! pipeline (prefetch / execute / writeback on the PLX9080's two DMA
+//! channels, DESIGN.md §9) so DMA and compute overlap; pass `--serial`
+//! to serve each job end to end and compare the overlap counters. The
+//! execute stage computes up to `--lanes N` queued TRT jobs in one
+//! lane-batched pass (DESIGN.md §10) — virtual time is unchanged, only
+//! host wall clock improves; pass `--lanes 1` to disable lane batching.
 //!
 //! Pass `--upset-rate R` to bombard the boards with `R` single event
-//! upsets per device-second of virtual busy time while they serve
+//! upsets per board-second of virtual busy time while they serve
 //! (DESIGN.md §11): the runtime switches to the protected posture —
 //! per-beat frame-CRC scans, periodic deep scrubs, bounded retries,
 //! quarantine — and the final stats show the detection and repair
@@ -48,33 +49,20 @@ use atlantis::cluster::{
 };
 use atlantis::core::AtlantisSystem;
 use atlantis::runtime::{
-    GuardConfig, JobRequest, Priority, Runtime, RuntimeConfig, RuntimeError, ShardConfig,
+    Beat, GuardConfig, JobHandle, JobRequest, Priority, Runtime, RuntimeError, ShardConfig,
 };
 use atlantis::simcore::SimDuration;
-use std::sync::Arc;
 
-fn submit_with_backoff(rt: &Runtime, req: JobRequest) -> atlantis::runtime::JobHandle {
+fn submit_with_backoff(rt: &Runtime, req: JobRequest) -> JobHandle {
     loop {
         match rt.submit(req) {
             Ok(handle) => return handle,
-            Err(RuntimeError::Overloaded { .. }) => std::thread::yield_now(),
+            // A rejected submission has already served up to the next
+            // completion, so retrying makes progress.
+            Err(RuntimeError::Overloaded(_)) => std::thread::yield_now(),
             Err(e) => panic!("submit failed: {e}"),
         }
     }
-}
-
-/// Returns `(served, faulted)` — under fault injection a job may
-/// honestly fail after exhausting its retry budget; it never lies.
-fn wait_all(handles: Vec<atlantis::runtime::JobHandle>) -> (usize, usize) {
-    let (mut served, mut faulted) = (0, 0);
-    for h in handles {
-        match h.wait() {
-            Ok(_) => served += 1,
-            Err(RuntimeError::Faulted { .. }) => faulted += 1,
-            Err(e) => panic!("job failed unexpectedly: {e}"),
-        }
-    }
-    (served, faulted)
 }
 
 /// Parse `--flag value` as an `f64`.
@@ -182,11 +170,10 @@ fn main() {
     {
         return cluster_demo(&args);
     }
-    let mut config = if args.iter().any(|a| a == "--serial") {
-        RuntimeConfig::serial()
-    } else {
-        RuntimeConfig::default()
-    };
+    let mut config = ShardConfig::host();
+    if args.iter().any(|a| a == "--serial") {
+        config.pipeline = Beat::Serial;
+    }
     if let Some(i) = args.iter().position(|a| a == "--lanes") {
         config.lanes = args
             .get(i + 1)
@@ -206,13 +193,17 @@ fn main() {
             config.guard.scrub_interval = SimDuration::from_secs_f64(ms / 1e3);
         }
     }
-    let system = AtlantisSystem::builder().with_acbs(4).build();
-    let rt = Arc::new(Runtime::serve(system, config).expect("system has ACBs to serve on"));
+    let acbs = 4;
+    let system = AtlantisSystem::builder().with_acbs(acbs).build();
+    let rt = Runtime::serve(system, config).expect("system has ACBs to serve on");
     println!(
-        "serving on {} ACBs, queue capacity {}, pipeline {}, lanes {}{}\n",
-        rt.devices(),
-        rt.queue_capacity(),
-        if config.pipeline { "on" } else { "off" },
+        "serving on {acbs} ACBs, queue capacity {}, pipeline {}, lanes {}{}\n",
+        config.queue_capacity,
+        if config.pipeline == Beat::Serial {
+            "off"
+        } else {
+            "on"
+        },
         config.lanes,
         if config.guard.is_active() {
             format!(
@@ -224,62 +215,41 @@ fn main() {
         }
     );
 
-    // Tenant 1: the online trigger — many small TRT events, high priority.
-    let trigger = {
-        let rt = Arc::clone(&rt);
-        std::thread::spawn(move || {
-            let handles: Vec<_> = (0..120)
-                .map(|i| {
-                    let req = JobRequest::new(1, JobSpec::trt(i)).with_priority(Priority::High);
-                    submit_with_backoff(&rt, req)
-                })
-                .collect();
-            wait_all(handles)
-        })
-    };
+    // Tenant 1: the online trigger — many small TRT events, high
+    // priority. Tenant 2: an interactive renderer — medium-sized volume
+    // frames. Tenant 3: batch work — image filters and N-body steps, low
+    // priority. One submitter interleaves their streams.
+    let mut handles = Vec::new();
+    for i in 0..120u64 {
+        let trigger = JobRequest::new(1, JobSpec::trt(i)).with_priority(Priority::High);
+        handles.push(submit_with_backoff(&rt, trigger));
+        if i < 40 {
+            let frame = JobSpec::volume(64 + (i % 4) as u32 * 32, i);
+            handles.push(submit_with_backoff(&rt, JobRequest::new(2, frame)));
+        }
+        if i < 60 {
+            let spec = if i % 2 == 0 {
+                JobSpec::image(32, i)
+            } else {
+                JobSpec::nbody(32, i)
+            };
+            let batch = JobRequest::new(3, spec).with_priority(Priority::Low);
+            handles.push(submit_with_backoff(&rt, batch));
+        }
+    }
+    // Under fault injection a job may honestly fail after exhausting its
+    // retry budget; it never lies.
+    let (mut served, mut faulted) = (0, 0);
+    for h in handles {
+        match h.wait() {
+            Ok(_) => served += 1,
+            Err(RuntimeError::Faulted { .. }) => faulted += 1,
+            Err(e) => panic!("job failed unexpectedly: {e}"),
+        }
+    }
 
-    // Tenant 2: an interactive renderer — medium-sized volume frames.
-    let renderer = {
-        let rt = Arc::clone(&rt);
-        std::thread::spawn(move || {
-            let handles: Vec<_> = (0..40)
-                .map(|i| {
-                    let req = JobRequest::new(2, JobSpec::volume(64 + (i % 4) as u32 * 32, i));
-                    submit_with_backoff(&rt, req)
-                })
-                .collect();
-            wait_all(handles)
-        })
-    };
-
-    // Tenant 3: batch work — image filters and N-body steps, low priority.
-    let batch = {
-        let rt = Arc::clone(&rt);
-        std::thread::spawn(move || {
-            let handles: Vec<_> = (0..60)
-                .map(|i| {
-                    let spec = if i % 2 == 0 {
-                        JobSpec::image(32, i)
-                    } else {
-                        JobSpec::nbody(32, i)
-                    };
-                    let req = JobRequest::new(3, spec).with_priority(Priority::Low);
-                    submit_with_backoff(&rt, req)
-                })
-                .collect();
-            wait_all(handles)
-        })
-    };
-
-    let tenants = [
-        trigger.join().unwrap(),
-        renderer.join().unwrap(),
-        batch.join().unwrap(),
-    ];
-    let served: usize = tenants.iter().map(|t| t.0).sum();
-    let faulted: usize = tenants.iter().map(|t| t.1).sum();
-
-    let stats = Arc::into_inner(rt).expect("all clients joined").shutdown();
+    let (cache_hits, cache_misses) = rt.cache_counters();
+    let stats = rt.shutdown();
     println!("served {served} jobs across 3 tenants");
     println!("  per kind (trt/volume/image/nbody): {:?}", stats.per_kind);
     println!(
@@ -297,60 +267,51 @@ fn main() {
         stats.reconfig_time, stats.dma_time, stats.execute_time
     );
     println!(
-        "  throughput: {:.0} jobs/s of virtual machine time ({:.0} jobs/s wall)",
+        "  throughput: {:.0} jobs/s of virtual machine time",
         stats.virtual_jobs_per_sec(),
-        stats.wall_jobs_per_sec()
     );
     println!(
-        "  latency: p50 {} µs, p99 {} µs, max {} µs",
-        stats.latency.percentile_us(0.50),
-        stats.latency.percentile_us(0.99),
-        stats.latency.max_us()
+        "  latency: p50 {:.0} µs, p99 {:.0} µs (virtual)",
+        stats.latency_us(0.50),
+        stats.latency_us(0.99),
     );
     println!(
-        "  bitstream cache: {} hits, {} misses (all designs pre-fitted)",
-        stats.cache_hits, stats.cache_misses
+        "  bitstream cache: {cache_hits} hits, {cache_misses} misses (all designs pre-fitted)"
     );
-    if stats.pipeline_beats > 0 {
+    if stats.pipeline.beats > 0 {
+        let p = &stats.pipeline;
         let occ = stats.stage_occupancy();
         println!(
             "  pipeline: {} beats, {} drains, overlap hid {:.1}% of stage time ({} saved)",
-            stats.pipeline_beats,
-            stats.pipeline_drains,
+            p.beats,
+            p.drains,
             stats.overlap_efficiency() * 100.0,
-            stats.overlap_saved
+            p.overlap_saved
         );
         println!(
             "  stage occupancy: prefetch {:.2}, execute {:.2}, writeback {:.2}",
             occ[0], occ[1], occ[2]
         );
-        println!(
-            "  buffer pool: {} hits, {} misses (zero-copy steady state)",
-            stats.pool_hits, stats.pool_misses
-        );
+    }
+    if config.lanes > 1 {
+        let l = &stats.lanes;
         println!(
             "  lanes: {} laned passes ({} jobs, {:.2} mean occupancy), {} scalar passes",
-            stats.laned_passes,
-            stats.laned_jobs,
+            l.laned_passes,
+            l.laned_jobs,
             stats.lane_occupancy(),
-            stats.scalar_passes
+            l.scalar_passes
         );
     }
-    if stats.upsets_injected > 0 || stats.guard_scrubs + stats.guard_repairs > 0 {
+    let g = &stats.guard;
+    if g.upsets_injected > 0 || g.scrubs + g.repairs > 0 {
         println!(
             "  guard: {} upsets injected ({} stealthy), {} detected, {} SILENT",
-            stats.upsets_injected,
-            stats.upsets_stealthy,
-            stats.detected_corruptions,
-            stats.silent_corruptions
+            g.upsets_injected, g.upsets_stealthy, g.detected_corruptions, g.silent_corruptions
         );
         println!(
             "  repair: {} deep scrubs + {} targeted repairs, {} retries, {} faulted jobs, {} boards quarantined",
-            stats.guard_scrubs,
-            stats.guard_repairs,
-            stats.retries,
-            faulted,
-            stats.quarantined_devices
+            g.scrubs, g.repairs, g.retries, faulted, stats.quarantined
         );
         println!(
             "  reliability: {:.1}% available, {:.1}% scrub overhead, MTBF {:.1} ms, detection latency {:.0} µs",
