@@ -14,6 +14,19 @@
 //! different orders must produce identical per-job checksums, which is
 //! how the benchmarks prove "equal correctness" between scheduling
 //! policies.
+//!
+//! # Purity contract
+//!
+//! A job's [`JobOutcome`] is a pure function of its [`JobSpec`]:
+//! [`WorkloadContext::execute`] returns the same outcome on a fresh
+//! context and on one that has executed any other jobs before, on any
+//! thread, in any order, and [`WorkloadContext::execute_batch`] returns
+//! exactly what serial `execute` calls would. A context holds shared
+//! inputs no job modifies plus host-CPU bookkeeping no outcome reads,
+//! and every job's randomness is seeded from its spec. The serving layer relies on this: shards cache outcomes on
+//! queued jobs, steals carry them between shards, and the cluster's
+//! outcome stage computes them on other host threads ahead of the
+//! virtual clock. `tests/purity.rs` checks the contract.
 
 use crate::image2d::{fpga::build_sobel_engine, Image2d};
 use crate::nbody::{

@@ -237,11 +237,10 @@ fn steal_point(rate: f64, stealing: StealingPolicy) -> StealArm {
     }
 }
 
-/// The heterogeneous-fleet experiment: one 4-board Virtex AIB-pair
-/// shard beside two 2-board ORCA shards, serving the default mixed
-/// campaign. Returns (per-shard completions, goodput, fingerprint).
-fn heterogeneous_campaign(rate: f64) -> (Vec<u64>, f64, String) {
-    let mut c = Cluster::new(ClusterConfig {
+/// The heterogeneous fleet: one 4-board Virtex AIB-pair shard beside
+/// two 2-board ORCA shards.
+fn heterogeneous_config() -> ClusterConfig {
+    ClusterConfig {
         shards: 3,
         shard: ShardConfig {
             boards: BOARDS,
@@ -261,8 +260,28 @@ fn heterogeneous_campaign(rate: f64) -> (Vec<u64>, f64, String) {
             spill_threshold: 6.0,
         },
         ..ClusterConfig::default()
-    })
-    .expect("cluster");
+    }
+}
+
+/// A fleet's own nominal capacity, in the sweep's terms: every board
+/// serves at its fabric's slowest-family warm-board rate.
+fn fleet_capacity(cfg: &ClusterConfig, per_board: impl Fn(FabricKind) -> f64) -> f64 {
+    (0..cfg.shards)
+        .map(|i| {
+            let sc = cfg
+                .shard_overrides
+                .iter()
+                .find(|&&(j, _)| j == i)
+                .map_or(cfg.shard, |&(_, sc)| sc);
+            sc.boards as f64 * per_board(sc.fabric)
+        })
+        .sum()
+}
+
+/// The heterogeneous-fleet experiment, serving the default mixed
+/// campaign. Returns (per-shard completions, goodput, fingerprint).
+fn heterogeneous_campaign(rate: f64) -> (Vec<u64>, f64, String) {
+    let mut c = Cluster::new(heterogeneous_config()).expect("cluster");
     c.run_open_loop(LoadGen::new(LoadGenConfig {
         seed: SEED,
         rate,
@@ -532,10 +551,17 @@ fn main() -> std::process::ExitCode {
         1.1,
         1.4,
     );
+    // The campaign offers 0.5x of the 4x2 ORCA sweep fleet's capacity;
+    // measured against its own shape it is a different fraction.
+    let het_capacity = fleet_capacity(&heterogeneous_config(), |fabric| match fabric {
+        FabricKind::Orca => orca_slow,
+        FabricKind::Virtex => virtex_slow,
+    });
     let (per_shard, het_goodput, het_fp) = heterogeneous_campaign(0.5 * capacity);
     println!(
-        "heterogeneous fleet at {:.0} jobs/s: per-shard completions {per_shard:?} (goodput {het_goodput:.3})\n",
-        0.5 * capacity
+        "heterogeneous fleet at {:.0} jobs/s ({:.3}x of its own {het_capacity:.0} jobs/s): per-shard completions {per_shard:?} (goodput {het_goodput:.3})\n",
+        0.5 * capacity,
+        0.5 * capacity / het_capacity
     );
     c.check(
         "virtex shard serves the largest completion share",

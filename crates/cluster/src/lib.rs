@@ -35,6 +35,7 @@
 
 pub mod admission;
 pub mod loadgen;
+mod outcome;
 pub mod router;
 pub mod shard;
 pub mod steal;
@@ -45,11 +46,12 @@ pub use admission::{
 pub use loadgen::{
     run_closed_loop, Arrival, ClosedLoopConfig, ClosedLoopReport, LoadGen, LoadGenConfig,
 };
+pub use outcome::OutcomeStats;
 pub use router::{RouteKind, Router, RoutingPolicy, ShardView};
 pub use shard::Shard;
 pub use steal::{StealConfig, StealKind, StealPlan, StealStats, StealingPolicy};
 
-use atlantis_apps::jobs::JobKind;
+use atlantis_apps::jobs::{JobKind, JobOutcome, JobSpec};
 use atlantis_guard::DegradationConfig;
 use atlantis_runtime::{
     BitstreamCache, FabricKind, LogHistogram, Priority, RuntimeError, ShardCompletion, ShardConfig,
@@ -172,6 +174,8 @@ pub struct Cluster {
     /// shrinks as real switches calibrate the estimate down.
     last_cold: Vec<Option<SimTime>>,
     stats: ClusterStats,
+    /// Host-side outcome-stage counters: never part of the fingerprint.
+    outcome_stats: OutcomeStats,
     next_id: u64,
 }
 
@@ -250,6 +254,7 @@ impl Cluster {
                 per_shard_completed: vec![0; cfg.shards],
                 ..ClusterStats::default()
             },
+            outcome_stats: OutcomeStats::default(),
             next_id: 0,
         })
     }
@@ -287,7 +292,22 @@ impl Cluster {
         now: SimTime,
         tenant: u32,
         priority: Priority,
-        spec: atlantis_apps::jobs::JobSpec,
+        spec: JobSpec,
+    ) -> Result<u64, Overloaded> {
+        self.offer_with(now, tenant, priority, spec, || None)
+    }
+
+    /// [`offer`](Self::offer), with the admitted job's outcome taken from
+    /// `outcome`. It is called only once admission has passed, and only
+    /// for a shard without lanes: a laned shard's lane counters must not
+    /// depend on where an outcome came from.
+    fn offer_with(
+        &mut self,
+        now: SimTime,
+        tenant: u32,
+        priority: Priority,
+        spec: JobSpec,
+        outcome: impl FnOnce() -> Option<JobOutcome>,
     ) -> Result<u64, Overloaded> {
         self.stats.offered += 1;
         let views = self.views(now);
@@ -310,7 +330,13 @@ impl Cluster {
             priority,
             spec,
         };
-        match self.shards[shard].engine.submit(now, job) {
+        let engine = &mut self.shards[shard].engine;
+        let outcome = if engine.config().lanes <= 1 {
+            outcome()
+        } else {
+            None
+        };
+        match engine.submit_with_outcome(now, job, outcome) {
             Ok(()) => {
                 self.next_id += 1;
                 self.admission.note_admitted(tenant);
@@ -479,8 +505,17 @@ impl Cluster {
                 continue;
             }
             let batch = self.shards[donor].engine.steal_queued(kind, jobs);
+            // Outcomes travel with stolen jobs, except from a shard
+            // without lanes to one with: the scalar donor's outcomes may
+            // come from the outcome stage, and a laned shard's lane
+            // counters must not depend on host timing.
+            let strip = self.shards[thief].engine.config().lanes > 1
+                && self.shards[donor].engine.config().lanes <= 1;
             let mut moved = 0u64;
-            for stolen in batch {
+            for mut stolen in batch {
+                if strip {
+                    stolen.outcome = None;
+                }
                 let payload = stolen.job.spec.payload_bytes();
                 let ready = self.shards[donor].engine.hop_transfer(now, payload);
                 let taken = self.shards[thief].engine.submit_stolen(now, stolen, ready);
@@ -551,17 +586,58 @@ impl Cluster {
     /// Drive the full open-loop campaign: interleave `arrivals` with
     /// cluster events on the virtual clock, then drain. Sheds are
     /// recorded in [`stats`](Self::stats); completions are returned.
+    ///
+    /// On a host with more than one core, a pool of threads computes
+    /// upcoming arrivals' outcomes ahead of the virtual clock (the
+    /// outcome stage; see [`outcome_stats`](Self::outcome_stats)). It
+    /// changes host time only: every completion and counter is what the
+    /// plain loop produces.
     pub fn run_open_loop(
         &mut self,
         arrivals: impl IntoIterator<Item = Arrival>,
     ) -> Vec<ClusterCompletion> {
+        self.run_open_loop_pooled(arrivals, outcome::pool_size())
+    }
+
+    /// [`run_open_loop`](Self::run_open_loop) with `pool` outcome
+    /// threads; with none it is the plain serving loop.
+    pub(crate) fn run_open_loop_pooled(
+        &mut self,
+        arrivals: impl IntoIterator<Item = Arrival>,
+        pool: usize,
+    ) -> Vec<ClusterCompletion> {
         let mut out = Vec::new();
-        for a in arrivals {
-            out.extend(self.advance(a.at));
-            let _ = self.offer(a.at, a.tenant, a.priority, a.spec);
+        if pool == 0 {
+            for a in arrivals {
+                out.extend(self.advance(a.at));
+                let _ = self.offer(a.at, a.tenant, a.priority, a.spec);
+            }
+        } else {
+            let ((), stats) = outcome::run(pool, arrivals, |feed| {
+                while let Some(a) = feed.next() {
+                    out.extend(self.advance(a.at));
+                    let mut settled = false;
+                    let _ = self.offer_with(a.at, a.tenant, a.priority, a.spec, || {
+                        settled = true;
+                        feed.settle(true)
+                    });
+                    if !settled {
+                        feed.settle(false);
+                    }
+                }
+            });
+            self.outcome_stats.add(stats);
         }
         out.extend(self.drain());
         out
+    }
+
+    /// The outcome stage's counters, summed over every
+    /// [`run_open_loop`](Self::run_open_loop) call. They depend on host
+    /// timing, so no fingerprint or deterministic stat includes them;
+    /// all zero when the host has one core.
+    pub fn outcome_stats(&self) -> OutcomeStats {
+        self.outcome_stats
     }
 
     /// A byte-stable digest of every deterministic counter in the

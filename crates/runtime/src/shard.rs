@@ -42,6 +42,8 @@
 //! in one laned [`WorkloadContext::execute_batch`] pass and caches each
 //! outcome on its queue entry. Outcomes are pure functions of the spec
 //! and scheduling never looks at them, so lanes change host time only.
+//! For the same reason a caller may attach a job's outcome at admission
+//! ([`ShardScheduler::submit_with_outcome`]); a steal carries it along.
 //!
 //! With the guard active ([`GuardConfig`]), upsets arrive on each
 //! board's busy clock, every beat runs the detection ladder, jobs in
@@ -412,19 +414,25 @@ struct ShardEntry {
     /// cross-shard hop transfer lands, and a board that picks one up
     /// earlier waits for the data (charged as DMA time).
     ready_at: SimTime,
-    /// The outcome, once a laned pass has computed it.
+    /// The outcome, once known: attached at admission or carried by a
+    /// steal, or cached by the first pass that computed it.
     outcome: Option<JobOutcome>,
     /// Times the guard has requeued the job.
     retries: u32,
 }
 
 impl ShardEntry {
-    fn new(job: ShardJob, submitted: SimTime, ready_at: SimTime) -> Self {
+    fn new(
+        job: ShardJob,
+        submitted: SimTime,
+        ready_at: SimTime,
+        outcome: Option<JobOutcome>,
+    ) -> Self {
         ShardEntry {
             job,
             submitted,
             ready_at,
-            outcome: None,
+            outcome,
             retries: 0,
         }
     }
@@ -442,13 +450,17 @@ impl Schedulable for ShardEntry {
 
 /// A job lifted out of a donor shard's queue by the cluster's work
 /// stealer: the job plus its original admission instant, preserved so
-/// end-to-end latency keeps counting the time spent in the donor queue.
+/// end-to-end latency keeps counting the time spent in the donor queue,
+/// and its outcome when the donor already knew it, so the thief does
+/// not compute it again.
 #[derive(Debug, Clone, Copy)]
 pub struct StolenJob {
     /// The queued job, unchanged.
     pub job: ShardJob,
     /// When the donor admitted it.
     pub submitted: SimTime,
+    /// The job's outcome, if the donor had it.
+    pub outcome: Option<JobOutcome>,
 }
 
 /// One simulated shard host — see the module docs.
@@ -569,9 +581,25 @@ impl ShardScheduler {
     /// bound is reached. Admission immediately back-fills any idle
     /// board.
     pub fn submit(&mut self, now: SimTime, job: ShardJob) -> Result<(), ShardReject> {
+        self.submit_with_outcome(now, job, None)
+    }
+
+    /// [`submit`](Self::submit) with the job's outcome already known, so
+    /// no board computes it. `outcome` must be what
+    /// [`WorkloadContext::execute`] returns for `job.spec` — outcomes are
+    /// pure, so whether it was computed here or elsewhere changes host
+    /// time only. On a shard with `lanes > 1` a supplied outcome also
+    /// keeps the job out of laned gathers, so pass `None` there when the
+    /// lane counters must not depend on it.
+    pub fn submit_with_outcome(
+        &mut self,
+        now: SimTime,
+        job: ShardJob,
+        outcome: Option<JobOutcome>,
+    ) -> Result<(), ShardReject> {
         if self
             .core
-            .push(ShardEntry::new(job, now, SimTime::ZERO))
+            .push(ShardEntry::new(job, now, SimTime::ZERO, outcome))
             .is_err()
         {
             self.stats.rejected += 1;
@@ -594,9 +622,10 @@ impl ShardScheduler {
     /// lands on this host — a board that starts the job earlier waits
     /// for the data, charged as DMA time. Not counted as a submission:
     /// the donor already did, and the cluster's steal ledger reconciles
-    /// the transfer. Returns `false` (job untouched) on a full queue.
+    /// the transfer. A carried outcome is kept. Returns `false` (job
+    /// untouched) on a full queue.
     pub fn submit_stolen(&mut self, now: SimTime, stolen: StolenJob, ready_at: SimTime) -> bool {
-        let entry = ShardEntry::new(stolen.job, stolen.submitted, ready_at);
+        let entry = ShardEntry::new(stolen.job, stolen.submitted, ready_at, stolen.outcome);
         if self.core.push(entry).is_err() {
             return false;
         }
@@ -616,6 +645,7 @@ impl ShardScheduler {
             .map(|e| StolenJob {
                 job: e.job,
                 submitted: e.submitted,
+                outcome: e.outcome,
             })
             .collect()
     }
@@ -825,7 +855,7 @@ impl ShardScheduler {
 
     /// The configuration the shard was built with (a host shard's
     /// `boards` is its ACB count).
-    pub(crate) fn config(&self) -> &ShardConfig {
+    pub fn config(&self) -> &ShardConfig {
         &self.cfg
     }
 
@@ -1626,6 +1656,53 @@ mod tests {
         assert_eq!(thief.stats().submitted, 0);
         assert_eq!(thief.stats().completed, 2);
         assert_eq!(donor.drain().len(), 3);
+    }
+
+    #[test]
+    fn stolen_jobs_carry_their_outcome() {
+        let mut donor = shard(1, 64);
+        let mut thief = shard(1, 64);
+        // Occupy the donor's board, then queue jobs with and without an
+        // attached outcome.
+        donor
+            .submit(SimTime::ZERO, job(0, JobSpec::trt(0)))
+            .unwrap();
+        let mut ctx = WorkloadContext::new();
+        let mut attached = Vec::new();
+        for i in 1..4u64 {
+            let spec = JobSpec::trt(i);
+            // A marker checksum the thief can only report if it serves
+            // the carried outcome instead of computing its own.
+            let real = ctx.execute(&spec);
+            let outcome = JobOutcome {
+                checksum: !real.checksum,
+                ..real
+            };
+            attached.push((i, outcome));
+            donor
+                .submit_with_outcome(SimTime::ZERO, job(i, spec), Some(outcome))
+                .unwrap();
+        }
+        donor
+            .submit(SimTime::ZERO, job(4, JobSpec::trt(4)))
+            .unwrap();
+
+        let stolen = donor.steal_queued(JobKind::TrtEvent, 4);
+        assert_eq!(stolen.len(), 4);
+        for s in &stolen {
+            let want = attached.iter().find(|&&(id, _)| id == s.job.id);
+            assert_eq!(s.outcome, want.map(|&(_, o)| o), "job {}", s.job.id);
+        }
+        for s in stolen {
+            assert!(thief.submit_stolen(SimTime::ZERO, s, SimTime::ZERO));
+        }
+        for f in thief.drain() {
+            let want = match attached.iter().find(|&&(id, _)| id == f.id) {
+                Some(&(_, o)) => o,
+                None => ctx.execute(&f.spec),
+            };
+            assert_eq!((f.checksum, f.cycles), (want.checksum, want.cycles));
+        }
     }
 
     #[test]
